@@ -105,9 +105,9 @@ class SchedulerAutomaton
 };
 
 /**
- * The FSA-driven forward list scheduler: identical algorithm to
- * ListScheduler, but resource feasibility is a single automaton lookup
- * per attempt. Produces bit-identical schedules.
+ * The FSA-driven forward list scheduler: ListScheduler's loop
+ * (sched::ForwardListLoop), but resource feasibility is a single
+ * automaton lookup per attempt. Produces bit-identical schedules.
  */
 class FsaListScheduler
 {
@@ -128,6 +128,7 @@ class FsaListScheduler
   private:
     const lmdes::LowMdes &low_;
     SchedulerAutomaton &fsa_;
+    sched::ForwardListLoop loop_;
 };
 
 } // namespace mdes::fsa

@@ -61,9 +61,19 @@ namespace mdes::lmdes {
 struct Check
 {
     int32_t slot = 0;
+    /** Always 0. The padding is explicit so that every byte of a check
+     * is determinate and saved images are byte-stable. */
+    uint32_t pad = 0;
     uint64_t mask = 0;
 
-    bool operator==(const Check &) const = default;
+    Check() = default;
+    Check(int32_t s, uint64_t m) : slot(s), mask(m) {}
+
+    bool
+    operator==(const Check &o) const
+    {
+        return slot == o.slot && mask == o.mask;
+    }
 };
 
 /**
@@ -99,8 +109,13 @@ struct LowOption
 {
     uint32_t first_check = 0;
     uint16_t num_checks = 0;
+    uint16_t pad = 0; ///< always 0 (explicit padding, as in Check)
 
-    bool operator==(const LowOption &) const = default;
+    bool
+    operator==(const LowOption &o) const
+    {
+        return first_check == o.first_check && num_checks == o.num_checks;
+    }
 };
 
 /** A lowered OR-tree: a slice of the option-reference pool. */
@@ -108,8 +123,14 @@ struct LowOrTree
 {
     uint32_t first_option_ref = 0;
     uint16_t num_options = 0;
+    uint16_t pad = 0; ///< always 0 (explicit padding, as in Check)
 
-    bool operator==(const LowOrTree &) const = default;
+    bool
+    operator==(const LowOrTree &o) const
+    {
+        return first_option_ref == o.first_option_ref &&
+               num_options == o.num_options;
+    }
 };
 
 /** A lowered AND/OR-tree: a slice of the OR-tree-reference pool. */
@@ -117,8 +138,14 @@ struct LowTree
 {
     uint32_t first_or_ref = 0;
     uint16_t num_or_trees = 0;
+    uint16_t pad = 0; ///< always 0 (explicit padding, as in Check)
 
-    bool operator==(const LowTree &) const = default;
+    bool
+    operator==(const LowTree &o) const
+    {
+        return first_or_ref == o.first_or_ref &&
+               num_or_trees == o.num_or_trees;
+    }
 };
 
 /** A lowered forwarding path (see core Bypass). */

@@ -3,6 +3,7 @@
 #include <cstring>
 #include <istream>
 #include <ostream>
+#include <type_traits>
 
 #include "lmdes/image.h"
 #include "lmdes/low_mdes.h"
@@ -273,24 +274,45 @@ LowMdes::save(std::ostream &os) const
     place(v7::kStringPool, pool.size());
     hdr.image_bytes = off;
 
+    // Sections are copied whole, so no record may carry indeterminate
+    // padding bytes (see Check::pad).
+    static_assert(std::has_unique_object_representations_v<Check> &&
+                  std::has_unique_object_representations_v<LowOption> &&
+                  std::has_unique_object_representations_v<LowOrTree> &&
+                  std::has_unique_object_representations_v<LowTree> &&
+                  std::has_unique_object_representations_v<LowBypass> &&
+                  std::has_unique_object_representations_v<TreeSummary> &&
+                  std::has_unique_object_representations_v<v7::OpClassRec> &&
+                  std::has_unique_object_representations_v<v7::StrRef>);
     std::string img(size_t(off), '\0');
     auto put = [&](v7::SectionId id, const void *src, size_t bytes) {
         if (bytes)
             std::memcpy(img.data() + hdr.sections[id].offset, src, bytes);
     };
-    put(v7::kChecks, checks().data(), hdr.sections[v7::kChecks].bytes);
-    put(v7::kOptions, options().data(), hdr.sections[v7::kOptions].bytes);
+    // Records with a pad member are written with it cleared: an object
+    // mapped from an image saved before the padding was explicit still
+    // carries whatever bytes were there, and must re-save to the same
+    // image as a fresh lowering.
+    auto putPadded = [&]<class T>(v7::SectionId id, std::span<const T> recs) {
+        char *dst = img.data() + hdr.sections[id].offset;
+        for (T rec : recs) {
+            rec.pad = 0;
+            std::memcpy(dst, &rec, sizeof(rec));
+            dst += sizeof(rec);
+        }
+    };
+    putPadded(v7::kChecks, checks());
+    putPadded(v7::kOptions, options());
     put(v7::kOptionRefs, optionRefs().data(),
         hdr.sections[v7::kOptionRefs].bytes);
-    put(v7::kOrTrees, orTrees().data(), hdr.sections[v7::kOrTrees].bytes);
+    putPadded(v7::kOrTrees, orTrees());
     put(v7::kOrRefs, orRefs().data(), hdr.sections[v7::kOrRefs].bytes);
-    put(v7::kTrees, trees().data(), hdr.sections[v7::kTrees].bytes);
+    putPadded(v7::kTrees, trees());
     put(v7::kBypasses, bypasses().data(),
         hdr.sections[v7::kBypasses].bytes);
     put(v7::kTreeSummaries, treeSummaries().data(),
         hdr.sections[v7::kTreeSummaries].bytes);
-    put(v7::kPrefilter, prefilter().data(),
-        hdr.sections[v7::kPrefilter].bytes);
+    putPadded(v7::kPrefilter, prefilter());
     put(v7::kOpClasses, class_recs.data(),
         hdr.sections[v7::kOpClasses].bytes);
     put(v7::kResourceNames, name_refs.data(),

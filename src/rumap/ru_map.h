@@ -88,8 +88,12 @@ class RuMap
     reserveSlot(int32_t slot, uint64_t mask)
     {
         assert(slot == normalize(slot));
-        ensure(slot);
-        words_[size_t(slot - base_)] |= mask;
+        size_t idx = size_t(slot - base_);
+        if (slot < base_ || idx >= words_.size()) {
+            ensure(slot); // out of line: only when the window grows
+            idx = size_t(slot - base_);
+        }
+        words_[idx] |= mask;
     }
 
     /** Release previously reserved resources at normalized @p slot. */

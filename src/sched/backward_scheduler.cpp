@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "support/diagnostics.h"
 #include "support/trace.h"
 
 namespace mdes::sched {
@@ -27,39 +26,35 @@ BackwardListScheduler::scheduleBlock(const Block &block, SchedStats &stats)
     graph_.rebuild(block, low_);
     ru_.clear();
 
+    const EdgeRows preds = graph_.predEdges();
+    const EdgeRows succs = graph_.succEdges();
+    const std::vector<DepEdge> &edges = graph_.edges();
+
     // Depth = latency-weighted longest path from the block entry; ops
     // deepest in the block schedule first when walking backward.
     depth_.assign(n, 0);
     for (uint32_t u = 0; u < n; ++u) {
-        for (uint32_t e : graph_.predEdges()[u]) {
-            const DepEdge &edge = graph_.edges()[e];
+        for (uint32_t e : preds[u]) {
+            const DepEdge &edge = edges[e];
             depth_[u] = std::max(depth_[u],
                                  depth_[edge.pred] + edge.min_dist);
         }
     }
-    ready_.resize(n);
-    for (uint32_t i = 0; i < n; ++i)
-        ready_[i] = i;
-    std::stable_sort(ready_.begin(), ready_.end(),
-                     [&](uint32_t a, uint32_t b) {
-                         return depth_[a] > depth_[b];
-                     });
+    orderByKey(ready_, depth_);
 
-    unscheduled_succs_.assign(n, 0);
-    for (const auto &e : graph_.edges())
-        ++unscheduled_succs_[e.pred];
+    unscheduled_succs_.resize(n);
+    for (uint32_t u = 0; u < n; ++u)
+        unscheduled_succs_[u] = uint32_t(succs[u].size());
+    // The latest cycle all outgoing dependences allow, lowered as each
+    // successor is placed.
+    latest_.assign(n, 0);
+    sched.issue_order.reserve(n);
 
     size_t remaining = n;
-    int64_t cycle_bound = 64;
-    for (const auto &in : block.instrs)
-        cycle_bound += 2 + low_.opClasses()[in.op_class].latency;
-
+    const int64_t cycle_bound = cycleBound(block, low_);
     for (int32_t cycle = 0; remaining > 0; --cycle) {
-        if (-int64_t(cycle) > cycle_bound) {
-            throw MdesError(
-                "backward list scheduler exceeded cycle bound; the "
-                "machine description cannot issue some operation");
-        }
+        if (-int64_t(cycle) > cycle_bound)
+            throwCycleBound("backward list scheduler");
         // One compacting pass over the ready list (order-preserving, as
         // in the forward scheduler).
         size_t w = 0;
@@ -71,14 +66,7 @@ BackwardListScheduler::scheduleBlock(const Block &block, SchedStats &stats)
             const Instr &in = block.instrs[u];
             const lmdes::LowOpClass &cls = low_.opClasses()[in.op_class];
 
-            // The latest cycle all outgoing dependences allow.
-            int32_t latest = 0;
-            for (uint32_t e : graph_.succEdges()[u]) {
-                const DepEdge &edge = graph_.edges()[e];
-                latest = std::min(latest, sched.cycles[edge.succ] -
-                                              edge.min_dist);
-            }
-            if (cycle > latest)
+            if (cycle > latest_[u])
                 continue;
 
             if (span.active())
@@ -88,8 +76,12 @@ BackwardListScheduler::scheduleBlock(const Block &block, SchedStats &stats)
                 sched.cycles[u] = cycle;
                 sched.issue_order.push_back(u);
                 --remaining;
-                for (uint32_t e : graph_.predEdges()[u])
-                    --unscheduled_succs_[graph_.edges()[e].pred];
+                for (uint32_t e : preds[u]) {
+                    const DepEdge &edge = edges[e];
+                    latest_[edge.pred] = std::min(latest_[edge.pred],
+                                                  cycle - edge.min_dist);
+                    --unscheduled_succs_[edge.pred];
+                }
                 --w; // drop u from the ready list
             }
         }

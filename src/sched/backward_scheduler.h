@@ -60,6 +60,7 @@ class BackwardListScheduler
     std::vector<int32_t> depth_;
     std::vector<uint32_t> ready_;
     std::vector<uint32_t> unscheduled_succs_;
+    std::vector<int32_t> latest_;
     std::vector<uint32_t> op_attempts_;
 };
 

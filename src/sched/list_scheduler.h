@@ -13,6 +13,7 @@
  * tallies attempts, options checked, and resource checks.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -64,6 +65,132 @@ struct SchedStats
     }
 };
 
+/**
+ * Fill @p order with the instructions 0..key.size()-1 by descending
+ * @p key, ties in source order - what a stable sort gives, without the
+ * stable sort's temporary buffer.
+ */
+void orderByKey(std::vector<uint32_t> &order,
+                const std::vector<int32_t> &key);
+
+/** Throw the error of a scheduler @p who that ran past its cycle bound
+ * (the description cannot issue some operation). */
+[[noreturn]] void throwCycleBound(const char *who);
+
+/**
+ * Generous safety bound on a block's schedule length: every op needs at
+ * least one cycle, plus dependence spans bounded by per-op latency sums.
+ */
+int64_t cycleBound(const Block &block, const lmdes::LowMdes &low);
+
+/**
+ * The forward cycle-driven list-scheduling loop: dependence graph, ready
+ * list and readiness bookkeeping. ListScheduler and
+ * fsa::FsaListScheduler both run it and differ only in the resource
+ * model they plug in, so their schedules are identical by construction.
+ *
+ * Each cycle makes one pass over the ready list (critical path first,
+ * then source order). An operation whose predecessors are all placed is
+ * tried once the cycle reaches its earliest cycle - or, if it can
+ * cascade, the earlier cycle its relaxable RAW edges allow, in which case
+ * it uses its cascade reservation table while below the normal earliest
+ * cycle. Both earliest cycles are raised as each predecessor is placed,
+ * so a waiting operation costs one comparison per cycle.
+ */
+class ForwardListLoop
+{
+  public:
+    /**
+     * Schedule @p block. `try_issue(u, tree, cycle)` makes one scheduling
+     * attempt of instruction u with AND/OR-tree `tree` and returns
+     * whether the resources were reserved; `end_cycle()` runs after each
+     * cycle's pass. @p who names the scheduler in errors.
+     */
+    template <class TryIssue, class EndCycle>
+    BlockSchedule run(const Block &block, const lmdes::LowMdes &low,
+                      TryIssue &&try_issue, EndCycle &&end_cycle,
+                      const char *who);
+
+  private:
+    // Per-block scratch, reused across blocks: blocks are a handful of
+    // operations, so allocation would cost more than the scheduling.
+    DepGraph graph_;
+    std::vector<uint32_t> ready_;
+    std::vector<uint32_t> unscheduled_preds_;
+    std::vector<int32_t> normal_ready_;
+    std::vector<int32_t> cascade_ready_;
+};
+
+template <class TryIssue, class EndCycle>
+BlockSchedule
+ForwardListLoop::run(const Block &block, const lmdes::LowMdes &low,
+                     TryIssue &&try_issue, EndCycle &&end_cycle,
+                     const char *who)
+{
+    const size_t n = block.instrs.size();
+    BlockSchedule sched;
+    sched.cycles.assign(n, -1);
+    sched.used_cascade.assign(n, 0);
+    sched.issue_order.reserve(n);
+
+    graph_.rebuild(block, low);
+    orderByKey(ready_, graph_.priorities());
+    const EdgeRows preds = graph_.predEdges();
+    const EdgeRows succs = graph_.succEdges();
+    const std::vector<DepEdge> &edges = graph_.edges();
+    unscheduled_preds_.resize(n);
+    for (uint32_t u = 0; u < n; ++u)
+        unscheduled_preds_[u] = uint32_t(preds[u].size());
+    normal_ready_.assign(n, 0);
+    cascade_ready_.assign(n, 0);
+
+    size_t remaining = n;
+    const int64_t cycle_bound = cycleBound(block, low);
+    for (int32_t cycle = 0; remaining > 0; ++cycle) {
+        if (cycle > cycle_bound)
+            throwCycleBound(who);
+        // Compact out the operations placed this cycle (order-preserving,
+        // so priority ties keep resolving by source order).
+        size_t w = 0;
+        for (size_t i = 0; i < ready_.size(); ++i) {
+            uint32_t u = ready_[i];
+            ready_[w++] = u;
+            if (unscheduled_preds_[u] > 0)
+                continue;
+            const Instr &in = block.instrs[u];
+            const lmdes::LowOpClass &cls = low.opClasses()[in.op_class];
+            bool can_cascade =
+                in.cascadable && cls.cascade_tree != kInvalidId;
+            if (cycle < (can_cascade ? cascade_ready_[u] : normal_ready_[u]))
+                continue;
+            bool use_cascade = can_cascade && cycle < normal_ready_[u];
+            if (!try_issue(u, use_cascade ? cls.cascade_tree : cls.tree,
+                           cycle))
+                continue;
+
+            sched.cycles[u] = cycle;
+            sched.used_cascade[u] = use_cascade ? 1 : 0;
+            sched.length = std::max(sched.length, cycle + 1);
+            sched.issue_order.push_back(u);
+            --remaining;
+            for (uint32_t e : succs[u]) {
+                const DepEdge &edge = edges[e];
+                int32_t at = cycle + edge.min_dist;
+                normal_ready_[edge.succ] =
+                    std::max(normal_ready_[edge.succ], at);
+                cascade_ready_[edge.succ] =
+                    std::max(cascade_ready_[edge.succ],
+                             edge.cascade_relax ? cycle : at);
+                --unscheduled_preds_[edge.succ];
+            }
+            --w; // drop u from the ready list
+        }
+        ready_.resize(w);
+        end_cycle();
+    }
+    return sched;
+}
+
 /** Forward cycle-driven list scheduler. */
 class ListScheduler
 {
@@ -87,13 +214,8 @@ class ListScheduler
     const lmdes::LowMdes &low_;
     rumap::Checker checker_;
 
-    // Per-block scratch, reused across scheduleBlock() calls: blocks are
-    // a handful of operations, so allocation (dep graph adjacency, ready
-    // list, RU map window) costs more than the scheduling itself.
-    DepGraph graph_;
+    ForwardListLoop loop_;
     rumap::RuMap ru_;
-    std::vector<uint32_t> ready_;
-    std::vector<uint32_t> unscheduled_preds_;
     std::vector<uint32_t> op_attempts_;
 };
 

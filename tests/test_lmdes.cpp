@@ -179,6 +179,35 @@ TEST(Serialize, RoundTripsEveryMachine)
     }
 }
 
+TEST(Serialize, IndependentLoweringsSaveByteIdentically)
+{
+    // Two lowerings of one description are separate allocations with
+    // separately built records; no byte of either image (padding
+    // included) may depend on that, so images and checksums match.
+    for (const auto *info : machines::all()) {
+        for (bool packed : {false, true}) {
+            SCOPED_TRACE(info->name + (packed ? "/bv" : "/scalar"));
+            LowerOptions opts;
+            opts.pack_bit_vector = packed;
+            std::string images[2];
+            for (std::string &image : images) {
+                LowMdes low =
+                    LowMdes::lower(hmdes::compileOrThrow(info->source),
+                                   opts);
+                std::stringstream buf;
+                low.save(buf);
+                image = buf.str();
+            }
+            ASSERT_EQ(images[0].size(), images[1].size());
+            EXPECT_TRUE(images[0] == images[1]);
+            lmdes::v7::Header a, b;
+            std::memcpy(&a, images[0].data(), sizeof(a));
+            std::memcpy(&b, images[1].data(), sizeof(b));
+            EXPECT_EQ(a.checksum, b.checksum);
+        }
+    }
+}
+
 TEST(Serialize, RejectsBadMagic)
 {
     std::stringstream buf;
@@ -317,6 +346,52 @@ resealImage(std::string &data)
                            data.size() - sizeof(lmdes::v7::Header));
     std::memcpy(&data[offsetof(lmdes::v7::Header, checksum)], &sum,
                 sizeof(sum));
+}
+
+TEST(Serialize, ImagesWithNonzeroPaddingStillLoad)
+{
+    // Images saved before the pad members were explicit carry arbitrary
+    // bytes there. They must load, compare equal to a fresh lowering,
+    // and save again to exactly the fresh lowering's image.
+    LowMdes low = LowMdes::lower(
+        hmdes::compileOrThrow(machines::k5().source), {});
+    std::stringstream buf;
+    low.save(buf);
+    const std::string fresh = buf.str();
+    std::string data = fresh;
+    lmdes::v7::Header hdr;
+    std::memcpy(&hdr, data.data(), sizeof(hdr));
+    struct PadField
+    {
+        lmdes::v7::SectionId section;
+        size_t stride, offset, bytes;
+    };
+    const PadField pads[] = {
+        {lmdes::v7::kChecks, sizeof(lmdes::Check),
+         offsetof(lmdes::Check, pad), sizeof(lmdes::Check::pad)},
+        {lmdes::v7::kPrefilter, sizeof(lmdes::Check),
+         offsetof(lmdes::Check, pad), sizeof(lmdes::Check::pad)},
+        {lmdes::v7::kOptions, sizeof(lmdes::LowOption),
+         offsetof(lmdes::LowOption, pad), sizeof(lmdes::LowOption::pad)},
+        {lmdes::v7::kOrTrees, sizeof(lmdes::LowOrTree),
+         offsetof(lmdes::LowOrTree, pad), sizeof(lmdes::LowOrTree::pad)},
+        {lmdes::v7::kTrees, sizeof(lmdes::LowTree),
+         offsetof(lmdes::LowTree, pad), sizeof(lmdes::LowTree::pad)},
+    };
+    for (const PadField &p : pads) {
+        const auto &sec = hdr.sections[p.section];
+        ASSERT_GT(sec.bytes, 0u) << "section " << p.section;
+        for (uint64_t off = sec.offset; off < sec.offset + sec.bytes;
+             off += p.stride)
+            std::memset(&data[off + p.offset], 0xA5, p.bytes);
+    }
+    resealImage(data);
+    std::stringstream patched(data);
+    LowMdes loaded = LowMdes::load(patched);
+    EXPECT_EQ(loaded, low);
+    std::stringstream resaved;
+    loaded.save(resaved);
+    EXPECT_TRUE(resaved.str() == fresh);
 }
 
 TEST(Serialize, CraftedMaskBeyondDeclaredResourcesRejected)

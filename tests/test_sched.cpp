@@ -1,18 +1,27 @@
 /**
  * @file
  * Scheduler substrate tests: dependence-graph construction (RAW/WAR/WAW,
- * cascade relaxation, branch ordering, priorities), list scheduling
- * against the MDES, cascade selection, and schedule verification.
+ * cascade relaxation, branch ordering, priorities, and equivalence with
+ * a reference implementation on random blocks), list scheduling against
+ * the MDES, cascade selection, FSA/RU-map agreement, and schedule
+ * verification.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <string>
+
+#include "core/transforms.h"
+#include "fsa/automaton.h"
 #include "hmdes/compile.h"
 #include "lmdes/low_mdes.h"
 #include "machines/machines.h"
 #include "sched/dep_graph.h"
 #include "sched/list_scheduler.h"
 #include "sched/verify.h"
+#include "support/rng.h"
 
 namespace mdes {
 namespace {
@@ -347,6 +356,214 @@ TEST(Scheduler, SuperSparcIssueWidthIsThree)
     // Six independent IALU ops: 3 decoders but only 2 IALUs and 2 write
     // ports per cycle, so 2 per cycle -> 3 cycles.
     EXPECT_EQ(sched.length, 3);
+}
+
+// ------------------------------------------ DepGraph reference equivalence
+
+/** A dependence graph as the original algorithm built it - registers in a
+ * linearly scanned list, duplicate edges found by scanning the
+ * predecessor's successors, adjacency in per-instruction vectors. The
+ * flat DepGraph must reproduce it exactly. */
+struct RefGraph
+{
+    std::vector<sched::DepEdge> edges;
+    std::vector<std::vector<uint32_t>> preds, succs;
+    std::vector<int32_t> priorities;
+};
+
+RefGraph
+referenceGraph(const Block &block, const LowMdes &low)
+{
+    const size_t n = block.instrs.size();
+    RefGraph g;
+    g.preds.resize(n);
+    g.succs.resize(n);
+    auto addEdge = [&](uint32_t pred, uint32_t succ, int32_t dist,
+                       bool relax) {
+        if (pred == succ)
+            return;
+        for (uint32_t e : g.succs[pred]) {
+            sched::DepEdge &edge = g.edges[e];
+            if (edge.succ == succ) {
+                if (dist > edge.min_dist) {
+                    edge.min_dist = dist;
+                    edge.cascade_relax = relax;
+                } else if (dist == edge.min_dist && !relax) {
+                    edge.cascade_relax = false;
+                }
+                return;
+            }
+        }
+        g.edges.push_back({pred, succ, dist, relax});
+        g.succs[pred].push_back(uint32_t(g.edges.size() - 1));
+        g.preds[succ].push_back(uint32_t(g.edges.size() - 1));
+    };
+    struct Reg
+    {
+        int32_t reg;
+        bool has_writer;
+        uint32_t last_writer;
+        std::vector<uint32_t> readers;
+    };
+    std::vector<Reg> regs;
+    auto state = [&](int32_t r) -> Reg & {
+        for (Reg &st : regs)
+            if (st.reg == r)
+                return st;
+        regs.push_back({r, false, 0, {}});
+        return regs.back();
+    };
+    for (uint32_t i = 0; i < n; ++i) {
+        const Instr &in = block.instrs[i];
+        for (int32_t r : in.srcs) {
+            Reg &st = state(r);
+            if (st.has_writer) {
+                int32_t lat = low.flowLatency(
+                    block.instrs[st.last_writer].op_class, in.op_class);
+                addEdge(st.last_writer, i, lat, in.cascadable && lat == 1);
+            }
+            st.readers.push_back(i);
+        }
+        for (int32_t r : in.dsts) {
+            Reg &st = state(r);
+            if (st.has_writer)
+                addEdge(st.last_writer, i, 1, false);
+            for (uint32_t reader : st.readers)
+                addEdge(reader, i, 0, false);
+            st.readers.clear();
+            st.last_writer = i;
+            st.has_writer = true;
+        }
+    }
+    if (n > 0 && block.instrs[n - 1].is_branch) {
+        for (uint32_t i = 0; i + 1 < n; ++i)
+            addEdge(i, uint32_t(n - 1), 0, false);
+    }
+    g.priorities.assign(n, 0);
+    for (size_t i = n; i > 0; --i) {
+        uint32_t u = uint32_t(i - 1);
+        int32_t h = low.opClasses()[block.instrs[u].op_class].latency;
+        for (uint32_t e : g.succs[u])
+            h = std::max(h, g.edges[e].min_dist +
+                                g.priorities[g.edges[e].succ]);
+        g.priorities[u] = h;
+    }
+    return g;
+}
+
+/** A random block over every register-id shape the IR admits. */
+Block
+randomBlock(Rng &rng, const LowMdes &low, size_t n)
+{
+    static const int32_t kEdgeIds[] = {
+        0, 4095, 4096, 99999, 100000,
+        std::numeric_limits<int32_t>::max(),
+        std::numeric_limits<int32_t>::min()};
+    auto reg = [&]() -> int32_t {
+        switch (rng.below(5)) {
+        case 0:
+        case 1:
+            return int32_t(rng.below(8)); // heavy reuse
+        case 2:
+            return int32_t(rng.below(100001)); // sasm's whole range
+        case 3:
+            return -1 - int32_t(rng.below(4)); // negative ids
+        default:
+            return kEdgeIds[rng.below(std::size(kEdgeIds))];
+        }
+    };
+    Block b;
+    for (size_t i = 0; i < n; ++i) {
+        Instr in;
+        in.op_class = uint32_t(rng.below(low.opClasses().size()));
+        for (uint64_t k = rng.below(4); k > 0; --k)
+            in.srcs.push_back(reg());
+        for (uint64_t k = rng.below(3); k > 0; --k)
+            in.dsts.push_back(reg());
+        if (!in.srcs.empty() && rng.chance(0.25)) // read and write one reg
+            in.dsts.push_back(in.srcs[rng.below(in.srcs.size())]);
+        in.cascadable = rng.chance(0.5);
+        b.instrs.push_back(std::move(in));
+    }
+    if (n > 0 && rng.chance(0.5))
+        b.instrs.back().is_branch = true;
+    return b;
+}
+
+TEST(DepGraph, RebuildMatchesReferenceAndFsaMatchesList)
+{
+    // Block sizes grow, then shrink, so one reused graph (and one
+    // reused scheduler of each kind) sees stale storage of every size.
+    std::vector<size_t> sizes;
+    for (size_t n : {0, 1, 2, 3, 5, 8, 13, 21, 40, 80, 160, 300})
+        sizes.push_back(n);
+    for (size_t i = sizes.size() - 1; i > 0; --i)
+        sizes.push_back(sizes[i - 1]);
+
+    for (const auto *info : machines::all()) {
+        SCOPED_TRACE(info->name);
+        Mdes m = hmdes::compileOrThrow(info->source);
+        shiftUsageTimes(m); // the automaton needs non-negative times
+        lmdes::LowerOptions lopts;
+        lopts.pack_bit_vector = true;
+        LowMdes low = LowMdes::lower(m, lopts);
+
+        DepGraph graph;
+        ListScheduler list(low);
+        fsa::SchedulerAutomaton automaton(low);
+        fsa::FsaListScheduler fsa_list(low, automaton);
+        Rng rng(0xD16 + info->name.size());
+        for (size_t round = 0; round < 3; ++round) {
+            for (size_t n : sizes) {
+                SCOPED_TRACE("block of " + std::to_string(n));
+                Block b = randomBlock(rng, low, n);
+                RefGraph ref = referenceGraph(b, low);
+                graph.rebuild(b, low);
+
+                ASSERT_EQ(graph.edges().size(), ref.edges.size());
+                for (size_t e = 0; e < ref.edges.size(); ++e) {
+                    const sched::DepEdge &x = graph.edges()[e];
+                    const sched::DepEdge &y = ref.edges[e];
+                    ASSERT_EQ(x.pred, y.pred) << "edge " << e;
+                    ASSERT_EQ(x.succ, y.succ) << "edge " << e;
+                    ASSERT_EQ(x.min_dist, y.min_dist) << "edge " << e;
+                    ASSERT_EQ(x.cascade_relax, y.cascade_relax)
+                        << "edge " << e;
+                }
+                for (size_t u = 0; u < n; ++u) {
+                    auto preds = graph.predEdges()[u];
+                    auto succs = graph.succEdges()[u];
+                    ASSERT_EQ(std::vector<uint32_t>(preds.begin(),
+                                                    preds.end()),
+                              ref.preds[u]);
+                    ASSERT_EQ(std::vector<uint32_t>(succs.begin(),
+                                                    succs.end()),
+                              ref.succs[u]);
+                }
+                ASSERT_EQ(graph.priorities(), ref.priorities);
+
+                // The ready-list order is the stable sort by priority.
+                std::vector<uint32_t> order, stable(n);
+                sched::orderByKey(order, graph.priorities());
+                for (uint32_t i = 0; i < n; ++i)
+                    stable[i] = i;
+                std::stable_sort(stable.begin(), stable.end(),
+                                 [&](uint32_t x, uint32_t y) {
+                                     return ref.priorities[x] >
+                                            ref.priorities[y];
+                                 });
+                ASSERT_EQ(order, stable);
+
+                SchedStats list_stats, fsa_stats;
+                BlockSchedule a = list.scheduleBlock(b, list_stats);
+                BlockSchedule f = fsa_list.scheduleBlock(b, fsa_stats);
+                ASSERT_EQ(a, f);
+                ASSERT_EQ(list_stats.checks.attempts,
+                          fsa_stats.checks.attempts);
+                ASSERT_EQ(sched::verifySchedule(b, a, low), "");
+            }
+        }
+    }
 }
 
 } // namespace
