@@ -1,17 +1,17 @@
 /**
  * @file
  * Enforces mdes::trace's overhead budget on the scheduler hot loop:
- * with tracing compiled in but *disabled*, a full list-scheduling run
- * of bench_perf_scheduler's workload (SuperSPARC, fully optimized
- * AND/OR description, 20k ops) must cost within 1% of the same run
- * before tracing was ever enabled - the probe hooks reduce to one
- * relaxed atomic load per block and per-span scope.
+ * with tracing *disabled*, a full list-scheduling run of
+ * bench_perf_scheduler's workload (SuperSPARC, fully optimized AND/OR
+ * description, 20k ops) must cost within 1% of the same run before
+ * tracing was ever enabled - the probe hooks reduce to one relaxed
+ * atomic load per block and per-span scope.
  *
  * Method: median of repeated runs in one binary, comparing the
- * never-enabled state against the disabled-after-use state (buffers
- * registered, ids assigned - the steady state of a long-lived service
- * that traced one request). A failed comparison re-samples both sides
- * a few times before declaring failure, since a 1% budget sits near
+ * never-enabled state against the disabled-after-use state (ring
+ * registered, one capture drained - the steady state of a long-lived
+ * service that traced one request). A failed comparison re-samples both
+ * sides a few times before declaring failure, since a 1% budget sits near
  * machine noise. The enabled-tracing cost is reported informationally,
  * not asserted: it pays for per-op attempt counts and the conflict
  * heat table by design.
@@ -82,7 +82,7 @@ main(int argc, char **argv)
     }
 
     printHeader("trace overhead",
-                "scheduler hot-loop cost with tracing compiled in: "
+                "scheduler hot-loop cost of tracing: "
                 "never-enabled vs disabled-after-use vs enabled");
 
     const machines::MachineInfo *machine = nullptr;
@@ -113,25 +113,31 @@ main(int argc, char **argv)
     scheduleOnce(built.low, program);
     double baseline_ms = medianRunMs(built.low, program, kSamples);
 
-    // One traced run: registers this thread's buffer and exercises the
-    // probe hooks (informational cost; also sanity-checks that the
-    // enabled path actually records).
+    // One traced run: exercises the probe hooks (informational cost)
+    // and sanity-checks that the enabled path records spans with their
+    // args into the ring.
     trace::setEnabled(true);
     uint64_t traced_ops = 0;
     double enabled_ms = scheduleOnce(built.low, program, &traced_ops);
-    size_t spans = trace::Collector::instance().spanCount();
     trace::setEnabled(false);
-    trace::Collector::instance().clear();
+    const flightrec::Capture capture = flightrec::endCapture();
+    const size_t spans = capture.events.size();
+    const bool has_args =
+        std::any_of(capture.events.begin(), capture.events.end(),
+                    [](const flightrec::Event &e) {
+                        return !e.args.empty();
+                    });
     bool ok = true;
-    if (spans == 0 || traced_ops == 0) {
+    if (spans == 0 || !has_args || traced_ops == 0) {
         std::fprintf(stderr,
-                     "FAIL: enabled run recorded %zu spans for %llu "
-                     "ops (tracing inert?)\n",
-                     spans, (unsigned long long)traced_ops);
+                     "FAIL: enabled run drained %zu spans (%s args) for "
+                     "%llu ops (tracing inert?)\n",
+                     spans, has_args ? "with" : "without",
+                     (unsigned long long)traced_ops);
         ok = false;
     }
 
-    // The asserted state: disabled again, buffers now registered. A 1%
+    // The asserted state: disabled again, ring registered. A 1%
     // budget is close to timer noise, so a miss re-samples both sides
     // before counting as a regression.
     double disabled_ms = medianRunMs(built.low, program, kSamples);
@@ -201,8 +207,8 @@ main(int argc, char **argv)
                   TextTable::num(recorder_on_ms, 2),
                   TextTable::percent(flight_overhead) + " vs off"});
     std::printf("%s", table.toString().c_str());
-    std::printf("\n%d-sample medians, %llu ops/run, %zu spans recorded "
-                "while enabled; budget: disabled <= %.0f%% over "
+    std::printf("\n%d-sample medians, %llu ops/run, %zu spans drained "
+                "after the enabled run; budget: disabled <= %.0f%% over "
                 "never-enabled, recorder-on <= %.0f%% over "
                 "recorder-off (%s).\n",
                 kSamples, (unsigned long long)traced_ops, spans,

@@ -158,6 +158,22 @@ Mdes::earliestTimeTree(TreeId id) const
     return best;
 }
 
+bool
+Mdes::subtreesOverlap(OrTreeId a, OrTreeId b) const
+{
+    for (OptionId oa : or_trees_[a].options) {
+        for (OptionId ob : or_trees_[b].options) {
+            for (const auto &ua : options_[oa].usages) {
+                for (const auto &ub : options_[ob].usages) {
+                    if (ua == ub)
+                        return true;
+                }
+            }
+        }
+    }
+    return false;
+}
+
 std::vector<uint32_t>
 Mdes::orTreeShareCounts() const
 {

@@ -229,6 +229,13 @@ class Mdes
     int32_t earliestTimeTree(TreeId id) const;
 
     /**
+     * True when some option of OR-tree @p a and some option of OR-tree
+     * @p b use the same resource at the same time, i.e. the two AND
+     * subtrees are not independent (stops at the first shared usage).
+     */
+    bool subtreesOverlap(OrTreeId a, OrTreeId b) const;
+
+    /**
      * Number of AND/OR-trees (reachable from operation classes) that
      * reference each OR-tree; used by the OR-tree sorting heuristic.
      */

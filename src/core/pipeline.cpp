@@ -49,7 +49,7 @@ runPipeline(Mdes &m, const PipelineConfig &config,
     PipelineStats stats;
     if (config.cse) {
         checkpoint();
-        TRACE_SPAN_F(span, "pass/cse");
+        trace::ScopedSpan span("pass/cse");
         stats.cse = eliminateRedundantInfo(m);
         span.counter("merged_options", stats.cse.merged_options);
         span.counter("merged_or_trees", stats.cse.merged_or_trees);
@@ -58,18 +58,18 @@ runPipeline(Mdes &m, const PipelineConfig &config,
     }
     if (config.redundant_options) {
         checkpoint();
-        TRACE_SPAN_F(span, "pass/redundant-options");
+        trace::ScopedSpan span("pass/redundant-options");
         stats.redundant_options_removed = removeRedundantOptions(m);
         span.counter("options_removed", stats.redundant_options_removed);
     }
     if (config.minimize) {
         checkpoint();
-        TRACE_SPAN_F(span, "pass/minimize");
+        trace::ScopedSpan span("pass/minimize");
         minimizeUsages(m);
     }
     if (config.time_shift) {
         checkpoint();
-        TRACE_SPAN_F(span, "pass/time-shift");
+        trace::ScopedSpan span("pass/time-shift");
         const std::vector<int32_t> shifts =
             shiftUsageTimes(m, config.direction);
         for (int32_t s : shifts) {
@@ -80,7 +80,7 @@ runPipeline(Mdes &m, const PipelineConfig &config,
     }
     if (config.hoist) {
         checkpoint();
-        TRACE_SPAN_F(span, "pass/hoist");
+        trace::ScopedSpan span("pass/hoist");
         stats.usages_hoisted = hoistCommonUsages(m);
         span.counter("usages_hoisted", stats.usages_hoisted);
         if (stats.usages_hoisted > 0) {
@@ -95,12 +95,12 @@ runPipeline(Mdes &m, const PipelineConfig &config,
     }
     if (config.sort_usages) {
         checkpoint();
-        TRACE_SPAN_F(span, "pass/sort-usages");
+        trace::ScopedSpan span("pass/sort-usages");
         sortUsageChecks(m, config.direction);
     }
     if (config.sort_or_trees) {
         checkpoint();
-        TRACE_SPAN_F(span, "pass/sort-or-trees");
+        trace::ScopedSpan span("pass/sort-or-trees");
         stats.trees_reordered = sortOrSubtrees(m);
         span.counter("trees_reordered", stats.trees_reordered);
     }

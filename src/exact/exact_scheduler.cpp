@@ -416,7 +416,7 @@ ExactScheduler::scheduleBlock(const sched::Block &block,
                               sched::SchedStats &stats,
                               const ExactOptions &opts)
 {
-    TRACE_SPAN_F(span, "exact/search");
+    trace::ScopedSpan span("exact/search");
     ExactResult res;
     n_ = uint32_t(block.instrs.size());
     if (n_ == 0) {

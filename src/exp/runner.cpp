@@ -41,7 +41,7 @@ compileSourceToLow(std::string_view source,
 {
     Mdes model;
     {
-        TRACE_SPAN_F(span, "compile/hmdes");
+        trace::ScopedSpan span("compile/hmdes");
         model = hmdes::compileOrThrow(source);
         span.label("machine", model.name());
     }
@@ -60,7 +60,7 @@ compileSourceToLow(std::string_view source,
         // (the Section 4 invariant), so the untransformed description is
         // a correct, merely slower, substitute. A pass may have left the
         // model half-rewritten, so recompile the source from scratch.
-        TRACE_SPAN_F(span, "compile/degraded");
+        trace::ScopedSpan span("compile/degraded");
         span.label("cause", e.what());
         model = hmdes::compileOrThrow(source);
         if (rep == Rep::OrTree)
@@ -70,7 +70,7 @@ compileSourceToLow(std::string_view source,
     }
     if (pipeline_stats)
         *pipeline_stats = stats;
-    TRACE_SPAN_F(span, "compile/lower");
+    trace::ScopedSpan span("compile/lower");
     if (faultsim::probe(faultsim::Site::CompileAllocFail).fired)
         throw std::bad_alloc();
     lmdes::LowerOptions lopts;

@@ -312,18 +312,8 @@ Builder::declareTable(const TableDecl &d)
     // reorderings assume independence). Warn the description writer.
     for (size_t i = 0; i < tree.or_trees.size(); ++i) {
         for (size_t j = i + 1; j < tree.or_trees.size(); ++j) {
-            bool overlap = false;
-            for (OptionId oi : mdes_.orTree(tree.or_trees[i]).options) {
-                for (OptionId oj :
-                     mdes_.orTree(tree.or_trees[j]).options) {
-                    for (const auto &ui : mdes_.option(oi).usages) {
-                        for (const auto &uj : mdes_.option(oj).usages) {
-                            overlap |= ui == uj;
-                        }
-                    }
-                }
-            }
-            if (overlap) {
+            if (mdes_.subtreesOverlap(tree.or_trees[i],
+                                      tree.or_trees[j])) {
                 diags_.warning(
                     d.loc,
                     "table '" + d.name + "': AND subtrees '" +

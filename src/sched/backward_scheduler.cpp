@@ -16,7 +16,7 @@ BackwardListScheduler::scheduleBlock(const Block &block, SchedStats &stats)
     if (n == 0)
         return sched;
 
-    TRACE_SPAN_F(span, "sched/block");
+    trace::ScopedSpan span("sched/block");
     if (span.active())
         op_attempts_.assign(n, 0);
     const uint64_t attempts_before = stats.checks.attempts;

@@ -50,7 +50,7 @@ ListScheduler::scheduleBlock(const Block &block, SchedStats &stats)
 
     // Probe hook: per-op attempt counts, collected only under a live
     // span so the untraced loop pays a flag test and nothing more.
-    TRACE_SPAN_F(span, "sched/block");
+    trace::ScopedSpan span("sched/block");
     if (span.active())
         op_attempts_.assign(n, 0);
     const uint64_t attempts_before = stats.checks.attempts;

@@ -145,7 +145,7 @@ ModuloScheduler::schedule(const Block &body, SchedStats &stats,
 
     // Probe hook: per-op attempt counts across every II tried, live only
     // under an active span (see SchedStats::attempts_per_op).
-    TRACE_SPAN_F(span, "sched/modulo");
+    trace::ScopedSpan span("sched/modulo");
     std::vector<uint32_t> op_attempts;
     if (span.active())
         op_attempts.assign(n, 0);

@@ -270,10 +270,12 @@ MdesService::workerLoop(Worker &worker)
         const ErrorCode code = resp.error.code;
         const uint64_t latency_us = elapsedUs(job->enqueued);
         deliver(*job, std::move(resp));
-        // Tail capture after delivery so spool I/O never adds to the
-        // caller-observed latency. The request's spans (including the
-        // "request" span process() just closed) are still in this
-        // thread's flight-recorder ring.
+        // Trace drain and tail capture after delivery so neither adds
+        // to the caller-observed latency. The request's spans
+        // (including the "request" span process() just closed) are
+        // still in this thread's flight-recorder ring.
+        if (trace::enabled())
+            flightrec::drainThread();
         maybeSpoolFlight(job->id, code, latency_us);
     }
 }
@@ -311,11 +313,9 @@ MdesService::process(Job &job, ServiceMetrics &metrics,
     // of which worker thread happens to run it.
     trace::IdScope trace_scope(job.id);
     faultsim::TokenScope fault_scope(job.id);
-    TRACE_SPAN_F(req_span, "request");
-    if (req_span.active()) {
-        req_span.label("machine", req.machine);
-        req_span.label("scheduler", schedulerKindName(req.scheduler));
-    }
+    trace::ScopedSpan req_span("request");
+    req_span.label("machine", req.machine);
+    req_span.label("scheduler", schedulerKindName(req.scheduler));
 
     uint64_t queue_wait_us = elapsedUs(job.enqueued);
     uint64_t compile_us = 0, workload_us = 0, schedule_us = 0;
@@ -552,7 +552,7 @@ MdesService::process(Job &job, ServiceMetrics &metrics,
                        Clock::now() > job.deadline;
             });
             for (const auto &block : program.blocks) {
-                TRACE_SPAN_F(block_span, "exact/block");
+                trace::ScopedSpan block_span("exact/block");
                 // Every backend runs with local stats: the response's
                 // ops_scheduled/total_schedule_length describe the kept
                 // schedules, checks describe all work spent.

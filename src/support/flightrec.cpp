@@ -15,6 +15,7 @@
 #include <memory>
 #include <mutex>
 #include <system_error>
+#include <utility>
 
 #include "support/diagnostics.h"
 
@@ -38,138 +39,208 @@ namespace fs = std::filesystem;
 static_assert((kRingSlots & (kRingSlots - 1)) == 0,
               "ring size must be a power of two");
 
-/**
- * Ticks -> microseconds calibration. The origin pair is pinned when
- * the first ring registers (long before anything is gathered in
- * practice); the rate is re-derived at each gather from the elapsed
- * span since then, so it improves as the process ages. Conversion only
- * has to be *monotone* for ordering to hold; absolute accuracy
- * converges within milliseconds of process start.
- */
-struct TickOrigin
+/** Ticks -> microseconds between two calibration points. Conversion
+ * only has to be *monotone* for ordering to hold; absolute accuracy
+ * converges within milliseconds of the origin. */
+struct TickClock
 {
-    uint64_t ticks = 0;
-    uint64_t us = 0;
+    uint64_t origin_ticks = 0;
+    uint64_t origin_us = 0;
+    /** Ticks per microsecond. */
+    double rate = 1.0;
+
+    static TickClock
+    between(uint64_t ticks0, uint64_t us0, uint64_t ticks1, uint64_t us1)
+    {
+        const uint64_t dus = us1 > us0 ? us1 - us0 : 1;
+        const uint64_t dticks = ticks1 > ticks0 ? ticks1 - ticks0 : dus;
+        return {ticks0, us0, double(dticks) / double(dus)};
+    }
+
+    /** Pre-origin stamps clamp to the origin. */
+    uint64_t
+    toUs(uint64_t ticks) const
+    {
+        if (ticks <= origin_ticks)
+            return origin_us;
+        return origin_us + uint64_t(double(ticks - origin_ticks) / rate);
+    }
 };
 
-const TickOrigin &
+/** The origin pair, pinned when the first ring registers or a capture
+ * begins (long before anything is read in practice). */
+const TickClock &
 tickOrigin()
 {
-    static const TickOrigin origin = [] {
-        TickOrigin o;
-        o.us = trace::nowUs();
-        o.ticks = nowTicks();
-        return o;
-    }();
+    static const TickClock origin{nowTicks(), trace::nowUs()};
     return origin;
 }
 
-/** Ticks per microsecond, measured from the origin to now. */
-double
-ticksPerUs()
+/** The live clock: the rate is re-derived at each read from the span
+ * since the origin, so it improves as the process ages. */
+TickClock
+liveClock()
 {
-    const TickOrigin &o = tickOrigin();
-    const uint64_t now_us = trace::nowUs();
-    const uint64_t now_ticks = nowTicks();
-    const uint64_t dus = now_us > o.us ? now_us - o.us : 1;
-    const uint64_t dticks =
-        now_ticks > o.ticks ? now_ticks - o.ticks : dus;
-    return double(dticks) / double(dus);
+    const TickClock &o = tickOrigin();
+    return TickClock::between(o.origin_ticks, o.origin_us, nowTicks(),
+                              trace::nowUs());
 }
 
-/** Convert an event timestamp; pre-origin stamps clamp to the origin. */
+// A span occupies one slot per arg followed by one span slot, and the
+// ring's head only ever advances past a whole span, so a reader walks
+// backwards from the head. Span slot words: name, trace id, start
+// ticks, and a meta word holding the duration in its low kDurBits, the
+// arg count in the next 4 bits and the label mask in the top 8. Arg
+// slot words: see ArgSlot.
+inline constexpr unsigned kDurBits = 52;
+inline constexpr uint64_t kDurMask = (uint64_t(1) << kDurBits) - 1;
+static_assert(kMaxArgs <= 8, "label mask holds 8 bits");
+static_assert(kLabelCap == 3 * sizeof(uint64_t),
+              "labels fill an arg slot's last three words");
+
+/** A slot copied out of a ring (every slot has ArgSlot's shape). */
+using RawSlot = ArgSlot;
+
 uint64_t
-ticksToUs(uint64_t ticks, double rate)
+pointerWord(const char *p)
 {
-    const TickOrigin &o = tickOrigin();
-    if (ticks <= o.ticks)
-        return o.us;
-    return o.us + uint64_t(double(ticks - o.ticks) / rate);
+    return uint64_t(reinterpret_cast<uintptr_t>(p));
 }
 
-/** One ring slot. All fields are atomics so a concurrent reader is a
- * well-defined (if possibly torn) read; torn slots are discarded by the
- * head re-check in snapshotInto(). */
-struct Slot
+const char *
+wordPointer(uint64_t w)
 {
-    std::atomic<const char *> name{nullptr};
-    std::atomic<uint64_t> trace_id{0};
-    std::atomic<uint64_t> ts_ticks{0};
-    std::atomic<uint64_t> dur_ticks{0};
-};
+    return reinterpret_cast<const char *>(uintptr_t(w));
+}
+
+/**
+ * Decode @p window - consecutive ring slots ending at a span boundary -
+ * into events for @p trace_id (every event when 0), appended to @p out
+ * oldest first. Spans with a null name are skipped. Returns how many
+ * leading slots belong to no whole span (it was partly overwritten).
+ */
+size_t
+decodeWindow(const std::vector<RawSlot> &window, uint32_t tid,
+             const TickClock &clock, uint64_t trace_id,
+             std::vector<Event> &out)
+{
+    const size_t first = out.size();
+    size_t end = window.size();
+    while (end > 0) {
+        const uint64_t *span = window[end - 1].word;
+        const size_t nargs = size_t(span[3] >> kDurBits) & 0xf;
+        if (nargs > kMaxArgs || nargs > end - 1)
+            break;
+        end -= nargs + 1;
+        if (span[0] == 0 || (trace_id != 0 && span[1] != trace_id))
+            continue;
+        // The end converts like the start, so a span exported inside
+        // another also ends inside it, and no span ends after the
+        // clock's reading point.
+        const uint64_t ts_us = clock.toUs(span[2]);
+        Event e{wordPointer(span[0]), span[1], ts_us,
+                clock.toUs(span[2] + (span[3] & kDurMask)) - ts_us, tid,
+                {}};
+        for (size_t i = 0; i < nargs; ++i) {
+            const uint64_t *arg = window[end + i].word;
+            Arg &a = e.args.emplace_back();
+            a.key = arg[0] != 0 ? wordPointer(arg[0]) : "";
+            a.is_label = (span[3] >> (kDurBits + 4 + i)) & 1;
+            if (a.is_label) {
+                const char *text = reinterpret_cast<const char *>(arg + 1);
+                a.text.assign(text, ::strnlen(text, kLabelCap));
+            } else {
+                a.value = arg[1];
+            }
+        }
+        out.push_back(std::move(e));
+    }
+    std::reverse(out.begin() + std::ptrdiff_t(first), out.end());
+    return end;
+}
 
 struct Ring
 {
-    /** Events ever pushed; slot for event i is slots[i % kRingSlots].
-     * Written only by the owning thread. */
+    /** Slots ever written; slot i is slots[i % kRingSlots]. Written
+     * only by the thread holding the ring, once per span. */
     std::atomic<uint64_t> head{0};
+    /** Lane shown as the events' tid; kept when the ring is reused. */
     uint32_t tid = 0;
-    std::array<Slot, kRingSlots> slots;
+    /** First slot not yet drained into the capture (guarded by the
+     * capture mutex). */
+    uint64_t cursor = 0;
+    /** All words are atomics so a concurrent reader is a well-defined
+     * (if possibly torn) read; copyWindow() discards torn slots. */
+    std::array<std::array<std::atomic<uint64_t>, 4>, kRingSlots> slots{};
+
+    /** Release stores (plain moves on x86-64): a reader whose acquire
+     * load sees one of them also sees the head published before the
+     * push that wrote it, which copyWindow() relies on. */
+    void
+    store(uint64_t index, const uint64_t (&word)[4])
+    {
+        auto &slot = slots[index & (kRingSlots - 1)];
+        for (size_t k = 0; k < 4; ++k)
+            slot[k].store(word[k], std::memory_order_release);
+    }
 
     void
     push(const char *name, uint64_t trace_id, uint64_t ts_ticks,
-         uint64_t dur_ticks)
+         uint64_t dur_ticks, const ArgSlot *args, size_t nargs,
+         uint32_t label_mask)
     {
         const uint64_t h = head.load(std::memory_order_relaxed);
-        Slot &s = slots[h & (kRingSlots - 1)];
-        s.name.store(name, std::memory_order_relaxed);
-        s.trace_id.store(trace_id, std::memory_order_relaxed);
-        s.ts_ticks.store(ts_ticks, std::memory_order_relaxed);
-        s.dur_ticks.store(dur_ticks, std::memory_order_relaxed);
-        // Publish: a reader that observes head > h sees slot h's
-        // fields (or a later overwrite it will discard).
-        head.store(h + 1, std::memory_order_release);
+        for (size_t i = 0; i < nargs; ++i)
+            store(h + i, args[i].word);
+        store(h + nargs, {pointerWord(name), trace_id, ts_ticks,
+                          std::min(dur_ticks, kDurMask) |
+                              uint64_t(nargs) << kDurBits |
+                              uint64_t(label_mask & 0xff)
+                                  << (kDurBits + 4)});
+        // Publish: a reader that observes the new head sees these
+        // slots (or a later overwrite it will discard).
+        head.store(h + nargs + 1, std::memory_order_release);
     }
 
-    /** Append this ring's non-lapped events for @p trace_id (or all
-     * when trace_id == 0) to @p out, converting ticks to microseconds
-     * at @p rate ticks/us. */
-    void
-    snapshotInto(uint64_t trace_id, double rate,
-                 std::vector<Event> &out) const
+    /** Copy the slots from index @p from (or the oldest still held)
+     * up to the head into @p out, keeping only slots the writer did
+     * not lap during the copy. Returns the index of the first slot
+     * kept. */
+    uint64_t
+    copyWindow(uint64_t from, std::vector<RawSlot> &out) const
     {
         const uint64_t h1 = head.load(std::memory_order_acquire);
-        const uint64_t lo = h1 > kRingSlots ? h1 - kRingSlots : 0;
-        std::vector<Event> copied;
-        copied.reserve(size_t(h1 - lo));
+        const uint64_t lo =
+            std::max(from, h1 > kRingSlots ? h1 - kRingSlots : 0);
+        out.clear();
         for (uint64_t i = lo; i < h1; ++i) {
-            const Slot &s = slots[i & (kRingSlots - 1)];
-            Event e;
-            e.name = s.name.load(std::memory_order_relaxed);
-            e.trace_id = s.trace_id.load(std::memory_order_relaxed);
-            e.ts_us = ticksToUs(
-                s.ts_ticks.load(std::memory_order_relaxed), rate);
-            e.dur_us = uint64_t(
-                double(s.dur_ticks.load(std::memory_order_relaxed)) /
-                rate);
-            e.tid = tid;
-            copied.push_back(e);
+            RawSlot &r = out.emplace_back();
+            for (size_t k = 0; k < 4; ++k)
+                r.word[k] = slots[i & (kRingSlots - 1)][k].load(
+                    std::memory_order_acquire);
         }
         // Anything the writer lapped while we copied may be torn:
         // keep only indices still inside the window at h2. push()
-        // stores slot fields *before* publishing head = h2 + 1, so
-        // while head still reads h2 the slot event h2 reuses (index
-        // h2 - kRingSlots from the previous lap) may already be
-        // mid-overwrite - discard that one too (the window is
-        // effectively kRingSlots - 1 events deep).
+        // stores a span's slots (up to kMaxArgs args, then the span)
+        // *before* publishing the new head, so while head still reads
+        // h2 the kMaxArgs + 1 slot indices from h2 on reuse (one lap
+        // back) may already be mid-overwrite - discard those too (the
+        // window is effectively kRingSlots - kMaxArgs - 1 slots deep).
+        // A slot a later push wrote is discarded as well: reading it
+        // (acquire) shows h2 at or past that push's first index.
         const uint64_t h2 = head.load(std::memory_order_acquire);
+        constexpr uint64_t kUnsafe = kMaxArgs + 1;
         const uint64_t lo2 =
-            h2 + 1 > kRingSlots ? h2 + 1 - kRingSlots : 0;
-        for (uint64_t i = lo; i < h1; ++i) {
-            if (i < lo2)
-                continue;
-            const Event &e = copied[size_t(i - lo)];
-            if (e.name == nullptr)
-                continue;
-            if (trace_id == 0 || e.trace_id == trace_id)
-                out.push_back(e);
-        }
+            h2 + kUnsafe > kRingSlots ? h2 + kUnsafe - kRingSlots : 0;
+        const uint64_t kept = std::min(std::max(lo, lo2), h1);
+        out.erase(out.begin(), out.begin() + std::ptrdiff_t(kept - lo));
+        return kept;
     }
 };
 
 // ---- Crash-capture ring table -------------------------------------
 //
-// The Registry below guards its rings with a mutex, which a fatal-
+// The registry below guards its rings with a mutex, which a fatal-
 // signal handler must never take. Rings are registered once and never
 // freed, so a parallel lock-free table of raw pointers is safe for the
 // handler to walk: registration publishes the pointer with a release
@@ -183,7 +254,7 @@ std::atomic<size_t> g_crash_ring_count{0};
 void
 publishCrashRing(Ring *ring)
 {
-    // Serialized by the Registry mutex; only the count's ordering
+    // Serialized by the registry mutex; only the count's ordering
     // against the slot store matters for the signal-handler reader.
     const size_t idx = g_crash_ring_count.load(std::memory_order_relaxed);
     if (idx >= kMaxCrashRings)
@@ -192,64 +263,49 @@ publishCrashRing(Ring *ring)
     g_crash_ring_count.store(idx + 1, std::memory_order_release);
 }
 
-/** Ring registry: one ring per thread, registered once, never removed
- * (same lifetime contract as trace::Collector's buffers). */
-class Registry
+/** Ring registry: rings are handed to threads, returned to a free list
+ * when a thread exits and reused by the next new thread; never freed.
+ * Also holds the --trace capture. */
+struct Registry
 {
-  public:
-    static Registry &
-    instance()
-    {
-        static Registry registry;
-        return registry;
-    }
+    std::mutex mu;
+    std::vector<std::unique_ptr<Ring>> rings;
+    std::vector<Ring *> free;
+    /** Guards the capture and every ring's cursor; taken before mu. */
+    std::mutex capture_mu;
+    Capture capture;
+    std::vector<RawSlot> window;
 
-    Ring &
-    registerLocalRing()
+    /** Move @p ring's slots from its cursor to its head into the
+     * capture; the caller holds capture_mu. */
+    void
+    drainLocked(Ring &ring, const TickClock &clock)
     {
-        // Pin the tick calibration origin at first registration, long
-        // before anything could be gathered.
-        (void)tickOrigin();
-        auto owned = std::make_unique<Ring>();
-        owned->tid = trace::threadId();
-        Ring *raw = owned.get();
-        std::lock_guard<std::mutex> lock(mu_);
-        rings_.push_back(std::move(owned));
-        publishCrashRing(raw);
-        return *raw;
+        const uint64_t kept = ring.copyWindow(ring.cursor, window);
+        const size_t orphans =
+            decodeWindow(window, ring.tid, clock, 0, capture.events);
+        capture.dropped += kept - ring.cursor + orphans;
+        ring.cursor = kept + window.size();
     }
-
-    std::vector<Event>
-    eventsForTrace(uint64_t trace_id) const
-    {
-        std::vector<Event> out;
-        const double rate = ticksPerUs();
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            for (const auto &ring : rings_)
-                ring->snapshotInto(trace_id, rate, out);
-        }
-        std::sort(out.begin(), out.end(),
-                  [](const Event &a, const Event &b) {
-                      return a.ts_us < b.ts_us;
-                  });
-        return out;
-    }
-
-    uint64_t
-    recordedCount() const
-    {
-        uint64_t n = 0;
-        std::lock_guard<std::mutex> lock(mu_);
-        for (const auto &ring : rings_)
-            n += ring->head.load(std::memory_order_relaxed);
-        return n;
-    }
-
-  private:
-    mutable std::mutex mu_;
-    std::vector<std::unique_ptr<Ring>> rings_;
 };
+
+Registry &
+registry()
+{
+    // Never destroyed: the crash handler may walk the rings, and other
+    // threads may still record, while statics are torn down at exit.
+    static Registry *r = new Registry;
+    return *r;
+}
+
+void
+sortByTime(std::vector<Event> &events)
+{
+    std::stable_sort(events.begin(), events.end(),
+                     [](const Event &a, const Event &b) {
+                         return a.ts_us < b.ts_us;
+                     });
+}
 
 /** Disk spool: serialized under one mutex (spooling is the rare tail
  * path; contention here is a non-goal). */
@@ -346,7 +402,7 @@ class Spool
     write(uint64_t trace_id, const char *reason)
     {
         std::vector<Event> events =
-            Registry::instance().eventsForTrace(trace_id);
+            eventsForTrace(trace_id);
         std::lock_guard<std::mutex> lock(mu_);
         if (!armed_)
             return "";
@@ -433,6 +489,48 @@ namespace {
 /** The calling thread's ring, as a plain TLS pointer so the record
  * hot path is one TLS load and a branch - no static-init guard. */
 thread_local Ring *t_ring = nullptr;
+/** Set once the thread has given its ring back (thread exit). */
+thread_local bool t_ring_returned = false;
+
+/** Gives the thread's ring back to the registry when the thread exits,
+ * so the next new thread reuses it instead of growing the registry. */
+struct RingLease
+{
+    ~RingLease()
+    {
+        if (t_ring == nullptr)
+            return;
+        Registry &r = registry();
+        std::lock_guard<std::mutex> lock(r.mu);
+        r.free.push_back(t_ring);
+        t_ring = nullptr;
+        t_ring_returned = true;
+    }
+};
+
+/** Slow path of record(): take a ring for the calling thread (none once
+ * the thread has begun exiting). */
+Ring *
+acquireLocalRing()
+{
+    if (t_ring_returned)
+        return nullptr;
+    thread_local RingLease lease;
+    // Pin the calibration origin before anything could be read.
+    (void)tickOrigin();
+    Registry &r = registry();
+    std::lock_guard<std::mutex> lock(r.mu);
+    if (!r.free.empty()) {
+        t_ring = r.free.back();
+        r.free.pop_back();
+        return t_ring;
+    }
+    r.rings.push_back(std::make_unique<Ring>());
+    t_ring = r.rings.back().get();
+    t_ring->tid = uint32_t(r.rings.size());
+    publishCrashRing(t_ring);
+    return t_ring;
+}
 
 } // namespace
 
@@ -454,31 +552,113 @@ nowTicks()
 #endif
 }
 
+ArgSlot
+counterArg(const char *key, uint64_t value)
+{
+    return {{pointerWord(key), value, 0, 0}};
+}
+
+ArgSlot
+labelArg(const char *key, std::string_view value)
+{
+    ArgSlot slot{{pointerWord(key), 0, 0, 0}};
+    std::memcpy(&slot.word[1], value.data(),
+                std::min(value.size(), kLabelCap));
+    return slot;
+}
+
 void
 record(const char *name, uint64_t trace_id, uint64_t ts_ticks,
-       uint64_t dur_ticks)
+       uint64_t dur_ticks, const ArgSlot *args, size_t nargs,
+       uint32_t label_mask)
 {
     Ring *ring = t_ring;
-    if (ring == nullptr)
-        t_ring = ring = &Registry::instance().registerLocalRing();
-    ring->push(name, trace_id, ts_ticks, dur_ticks);
+    if (ring == nullptr && (ring = acquireLocalRing()) == nullptr)
+        return;
+    ring->push(name, trace_id, ts_ticks, dur_ticks, args,
+               std::min(nargs, kMaxArgs), label_mask);
 }
 
 std::vector<Event>
 eventsForTrace(uint64_t trace_id)
 {
-    return Registry::instance().eventsForTrace(trace_id);
+    std::vector<Event> out;
+    const TickClock clock = liveClock();
+    std::vector<RawSlot> window;
+    Registry &r = registry();
+    {
+        std::lock_guard<std::mutex> lock(r.mu);
+        for (const auto &ring : r.rings) {
+            ring->copyWindow(0, window);
+            decodeWindow(window, ring->tid, clock, trace_id, out);
+        }
+    }
+    sortByTime(out);
+    return out;
 }
 
 uint64_t
 recordedCount()
 {
-    return Registry::instance().recordedCount();
+    Registry &r = registry();
+    std::lock_guard<std::mutex> lock(r.mu);
+    uint64_t n = 0;
+    for (const auto &ring : r.rings)
+        n += ring->head.load(std::memory_order_relaxed);
+    return n;
+}
+
+size_t
+ringCount()
+{
+    Registry &r = registry();
+    std::lock_guard<std::mutex> lock(r.mu);
+    return r.rings.size();
+}
+
+void
+beginCapture()
+{
+    // Pin the calibration origin before the first captured span
+    // starts, so no captured timestamp clamps to it.
+    (void)tickOrigin();
+    Registry &r = registry();
+    std::lock_guard<std::mutex> capture_lock(r.capture_mu);
+    r.capture = Capture{};
+    std::lock_guard<std::mutex> lock(r.mu);
+    for (const auto &ring : r.rings)
+        ring->cursor = ring->head.load(std::memory_order_acquire);
+}
+
+void
+drainThread()
+{
+    if (t_ring == nullptr)
+        return;
+    Registry &r = registry();
+    std::lock_guard<std::mutex> capture_lock(r.capture_mu);
+    r.drainLocked(*t_ring, liveClock());
+}
+
+Capture
+endCapture()
+{
+    Registry &r = registry();
+    std::lock_guard<std::mutex> capture_lock(r.capture_mu);
+    {
+        const TickClock clock = liveClock();
+        std::lock_guard<std::mutex> lock(r.mu);
+        for (const auto &ring : r.rings)
+            r.drainLocked(*ring, clock);
+    }
+    Capture done = std::exchange(r.capture, Capture{});
+    sortByTime(done.events);
+    return done;
 }
 
 std::string
 toChromeJson(const std::vector<Event> &events, uint64_t trace_id,
-             const char *reason)
+             const char *reason, uint64_t dropped)
 {
     JsonWriter w;
     w.beginObject();
@@ -488,12 +668,13 @@ toChromeJson(const std::vector<Event> &events, uint64_t trace_id,
     w.key("trace_id").value(trace_id);
     w.key("reason").value(reason != nullptr ? reason : "unknown");
     w.key("events").value(uint64_t(events.size()));
+    w.key("dropped").value(dropped);
     w.endObject();
     w.key("traceEvents").beginArray();
     for (const Event &e : events) {
         w.beginObject();
         w.key("name").value(e.name);
-        w.key("cat").value("flightrec");
+        w.key("cat").value("mdes");
         w.key("ph").value("X");
         w.key("pid").value(uint64_t(1));
         w.key("tid").value(uint64_t(e.tid));
@@ -502,6 +683,12 @@ toChromeJson(const std::vector<Event> &events, uint64_t trace_id,
         w.key("args").beginObject();
         if (e.trace_id != 0)
             w.key("trace_id").value(e.trace_id);
+        for (const Arg &a : e.args) {
+            if (a.is_label)
+                w.key(a.key).value(a.text);
+            else
+                w.key(a.key).value(a.value);
+        }
         w.endObject();
         w.endObject();
     }
@@ -576,12 +763,13 @@ struct CrashRingHeader
     uint32_t nrec;
 };
 
+/** One ring slot: its first word (a span name or arg key, both string
+ * literals in the crashed process) copied out as text, the other three
+ * words raw. */
 struct CrashRecord
 {
-    char name[40]; // NUL-terminated span name, truncated
-    uint64_t trace_id;
-    uint64_t ts_ticks;
-    uint64_t dur_ticks;
+    char name[40]; // NUL-terminated, truncated
+    uint64_t word[3];
 };
 
 inline constexpr char kCrashMagic[4] = {'M', 'D', 'C', 'R'};
@@ -671,9 +859,9 @@ crashCaptureHandler(int sig, siginfo_t *info, void *)
                 g_crash_rings[r].load(std::memory_order_acquire);
             if (ring == nullptr)
                 continue;
-            // Other threads may still be pushing; their in-progress
-            // slot can tear. Crash forensics tolerates one garbled
-            // event per surviving thread.
+            // Other threads may still be pushing; the slots of their
+            // in-progress span can tear. Crash forensics tolerates one
+            // garbled span per surviving thread.
             const uint64_t head =
                 ring->head.load(std::memory_order_acquire);
             const uint64_t lo =
@@ -683,26 +871,24 @@ crashCaptureHandler(int sig, siginfo_t *info, void *)
             CrashRecord batch[64];
             size_t filled = 0;
             for (uint64_t i = lo; i < head; ++i) {
-                const Slot &s = ring->slots[i & (kRingSlots - 1)];
+                const auto &slot = ring->slots[i & (kRingSlots - 1)];
                 CrashRecord &rec = batch[filled];
                 ::memset(rec.name, 0, sizeof rec.name);
                 const char *name =
-                    s.name.load(std::memory_order_relaxed);
+                    wordPointer(slot[0].load(std::memory_order_relaxed));
                 if (name != nullptr) {
-                    // Span names are string literals in this process;
-                    // copy by hand (strncpy is not on the safe list).
+                    // Names and keys are string literals in this
+                    // process; copy by hand (strncpy is not on the
+                    // safe list).
                     size_t k = 0;
                     while (k < sizeof(rec.name) - 1 && name[k] != '\0') {
                         rec.name[k] = name[k];
                         ++k;
                     }
                 }
-                rec.trace_id =
-                    s.trace_id.load(std::memory_order_relaxed);
-                rec.ts_ticks =
-                    s.ts_ticks.load(std::memory_order_relaxed);
-                rec.dur_ticks =
-                    s.dur_ticks.load(std::memory_order_relaxed);
+                for (size_t k = 0; k < 3; ++k)
+                    rec.word[k] =
+                        slot[k + 1].load(std::memory_order_relaxed);
                 if (++filled == sizeof(batch) / sizeof(batch[0])) {
                     crashWrite(fd, batch, sizeof batch);
                     filled = 0;
@@ -732,9 +918,8 @@ armCrashCapture(const std::string &dir)
     // Pre-initialize every static the handler touches while it is
     // still legal to take locks: the tick origin pair and the
     // trace-clock epoch inside trace::nowUs().
-    const TickOrigin &origin = tickOrigin();
-    g_crash_origin_ticks = origin.ticks;
-    g_crash_origin_us = origin.us;
+    g_crash_origin_ticks = tickOrigin().origin_ticks;
+    g_crash_origin_us = tickOrigin().origin_us;
 
     stack_t ss{};
     ss.ss_sp = g_crash_stack;
@@ -782,15 +967,12 @@ decodeCrashCapture(const std::string &path, CrashInfo *info)
                         std::to_string(h.version));
 
     // Tick rate from the two calibration points the handler recorded.
-    const uint64_t dus =
-        h.crash_us > h.origin_us ? h.crash_us - h.origin_us : 1;
-    const uint64_t dticks = h.crash_ticks > h.origin_ticks
-                                ? h.crash_ticks - h.origin_ticks
-                                : dus;
-    const double rate = double(dticks) / double(dus);
+    const TickClock clock = TickClock::between(
+        h.origin_ticks, h.origin_us, h.crash_ticks, h.crash_us);
 
-    std::deque<std::string> names; // stable storage behind Event.name
+    std::deque<std::string> names; // stable storage behind names, keys
     std::vector<Event> events;
+    std::vector<RawSlot> window;
     size_t off = sizeof h;
     for (uint32_t r = 0; r < h.ring_count; ++r) {
         if (off + sizeof(CrashRingHeader) > raw.size())
@@ -802,6 +984,7 @@ decodeCrashCapture(const std::string &path, CrashInfo *info)
         if (rh.nrec > kRingSlots)
             throw MdesError("flightrec: implausible ring length in '" +
                             path + "'");
+        window.clear();
         for (uint32_t i = 0; i < rh.nrec; ++i) {
             if (off + sizeof(CrashRecord) > raw.size())
                 throw MdesError("flightrec: truncated record in '" +
@@ -810,27 +993,18 @@ decodeCrashCapture(const std::string &path, CrashInfo *info)
             std::memcpy(&rec, raw.data() + off, sizeof rec);
             off += sizeof rec;
             rec.name[sizeof(rec.name) - 1] = '\0';
-            if (rec.name[0] == '\0')
-                continue; // never-written or torn slot
-            Event e;
-            names.emplace_back(rec.name);
-            e.name = names.back().c_str();
-            e.trace_id = rec.trace_id;
-            e.ts_us = rec.ts_ticks <= h.origin_ticks
-                          ? h.origin_us
-                          : h.origin_us +
-                                uint64_t(double(rec.ts_ticks -
-                                                h.origin_ticks) /
-                                         rate);
-            e.dur_us = uint64_t(double(rec.dur_ticks) / rate);
-            e.tid = rh.tid;
-            events.push_back(e);
+            // A never-written or torn slot keeps a null name, which
+            // decodeWindow() skips.
+            RawSlot slot{{0, rec.word[0], rec.word[1], rec.word[2]}};
+            if (rec.name[0] != '\0') {
+                names.emplace_back(rec.name);
+                slot.word[0] = pointerWord(names.back().c_str());
+            }
+            window.push_back(slot);
         }
+        decodeWindow(window, rh.tid, clock, 0, events);
     }
-    std::sort(events.begin(), events.end(),
-              [](const Event &a, const Event &b) {
-                  return a.ts_us < b.ts_us;
-              });
+    sortByTime(events);
 
     if (info != nullptr) {
         info->signo = int(h.signo);

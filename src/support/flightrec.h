@@ -3,52 +3,59 @@
 
 /**
  * @file
- * mdes::flightrec - the always-on flight recorder behind mdes::trace.
+ * mdes::flightrec - the span store behind mdes::trace.
  *
- * Full tracing (--trace) buffers every span until exported; that is the
- * right tool for a planned investigation and the wrong one for a
- * production tier, where the interesting request is the one nobody was
- * watching. The flight recorder fills that gap: every thread keeps a
- * small fixed-size ring of the most recent span events, recorded
- * unconditionally (even with tracing off) at a cost of a few relaxed
- * atomic stores per span. The ring remembers the last ~4096 spans per
- * thread and silently overwrites older ones.
+ * Every thread keeps a small fixed-size ring of its most recent span
+ * events, recorded unconditionally (even with tracing off) at a cost of
+ * a few relaxed atomic stores per span. The ring remembers the last
+ * ~4096 events per thread and silently overwrites older ones. It is the
+ * only place spans are stored, and every consumer reads it:
  *
- * Tail-based capture: when a request ends badly - typed error, breaker
- * trip, deadline blown, or latency beyond a configurable threshold -
- * the service asks the recorder to *spool* that trace id: every ring
- * event carrying the id is gathered across threads and written to a
- * bounded on-disk directory as a standalone Chrome trace-event JSON
- * file. The directory is a size-capped FIFO - oldest spool files are
- * deleted first and the total never exceeds the configured byte cap -
- * so a misbehaving fleet cannot fill a disk.
+ *  - --trace (trace::setEnabled): spans also carry their counters and
+ *    labels, as extra ring slots written next to the span, and the
+ *    capture drains the rings - each service worker after every
+ *    request, and endCapture() once at the end for everything else.
+ *  - Tail-based capture: when a request ends badly - typed error,
+ *    breaker trip, deadline blown, or latency beyond a configurable
+ *    threshold - the service asks the recorder to *spool* that trace
+ *    id: every ring event carrying the id is gathered across threads
+ *    and written to a bounded on-disk directory (a size-capped FIFO:
+ *    oldest files are deleted first and the total never exceeds the
+ *    byte cap, so a misbehaving fleet cannot fill a disk).
+ *  - Crash capture: a fatal-signal handler dumps the raw rings.
  *
- * Concurrency: each ring is written only by its owning thread (relaxed
- * stores into atomic slot fields, release store of the head counter);
- * a reader snapshots the head, copies the window, then re-reads the
- * head and discards any slot the writer may have lapped during the
- * copy. Torn events are therefore discarded, never reported, and the
- * scheme is clean under ThreadSanitizer without any lock on the record
- * path.
+ * All three render through toChromeJson(), the one Chrome trace-event
+ * writer.
  *
- * Compiling with -DMDES_FLIGHTREC_ENABLED=0 removes the record hook
- * from ScopedSpan entirely; at runtime setEnabled(false) reduces it to
- * one relaxed load.
+ * Concurrency: each ring is written only by the thread holding it
+ * (release stores into atomic slot words, then a release store of the
+ * head counter once per span); a reader snapshots the head, copies the
+ * window, then re-reads the head and discards any slot the writer may
+ * have lapped during the copy or be overwriting for an unpublished
+ * span. Torn events are therefore
+ * discarded, never reported, and the scheme is clean under
+ * ThreadSanitizer without any lock on the record path. A thread's ring
+ * goes back to a free list when the thread exits and is handed to the
+ * next new thread; rings are never freed.
  */
 
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace mdes::flightrec {
 
-#ifndef MDES_FLIGHTREC_ENABLED
-#define MDES_FLIGHTREC_ENABLED 1
-#endif
-
-/** Slots per thread ring (power of two; ~128KiB per thread). */
+/** Slots per thread ring (power of two; 128KiB per thread). A span
+ * takes one slot plus one per arg. */
 inline constexpr size_t kRingSlots = 4096;
+
+/** Most args one span carries into the ring (later ones are ignored). */
+inline constexpr size_t kMaxArgs = 8;
+
+/** Bytes of a label value kept in its slot (longer values are cut). */
+inline constexpr size_t kLabelCap = 24;
 
 /** Global runtime switch. On by default. */
 extern std::atomic<bool> g_flightrec_enabled;
@@ -60,7 +67,8 @@ enabled()
     return g_flightrec_enabled.load(std::memory_order_relaxed);
 }
 
-/** Turn ring recording on or off process-wide. */
+/** Turn ring recording on or off process-wide. While tracing is on
+ * (trace::enabled()) spans are recorded either way. */
 void setEnabled(bool on);
 
 /**
@@ -68,24 +76,52 @@ void setEnabled(bool on);
  * cycles on x86-64, steady-clock nanoseconds elsewhere). Ring events
  * are stamped in ticks on the hot path - a vdso clock_gettime pair per
  * span would alone blow the recorder's <1% budget - and converted to
- * microseconds only when a trace is gathered, using a rate calibrated
+ * microseconds only when events are read, using a rate calibrated
  * against trace::nowUs() since process start.
  */
 uint64_t nowTicks();
 
-/** Append one event to the calling thread's ring (wait-free).
- * Timestamps are nowTicks() values; eventsForTrace() converts. */
-void record(const char *name, uint64_t trace_id, uint64_t ts_ticks,
-            uint64_t dur_ticks);
+/** One span arg as it sits in its ring slot: the key (a string
+ * literal's address), then the counter value or the label's first
+ * kLabelCap bytes packed inline. */
+struct ArgSlot
+{
+    uint64_t word[4];
+};
 
-/** One event copied out of a ring. */
+/** A counter arg. */
+ArgSlot counterArg(const char *key, uint64_t value);
+
+/** A label arg (the value is copied, cut to kLabelCap bytes). */
+ArgSlot labelArg(const char *key, std::string_view value);
+
+/** Append one span and its @p nargs args to the calling thread's ring
+ * (wait-free). Bit i of @p label_mask marks args[i] as a label.
+ * Timestamps are nowTicks() values; readers convert. */
+void record(const char *name, uint64_t trace_id, uint64_t ts_ticks,
+            uint64_t dur_ticks, const ArgSlot *args = nullptr,
+            size_t nargs = 0, uint32_t label_mask = 0);
+
+/** One span arg copied out of a ring. */
+struct Arg
+{
+    const char *key = "";
+    /** A label (text) rather than a counter (value). */
+    bool is_label = false;
+    uint64_t value = 0;
+    std::string text;
+};
+
+/** One span copied out of a ring. */
 struct Event
 {
     const char *name = "";
     uint64_t trace_id = 0;
     uint64_t ts_us = 0;
     uint64_t dur_us = 0;
+    /** Lane of the ring that held the event. */
     uint32_t tid = 0;
+    std::vector<Arg> args;
 };
 
 /** Every ring event stamped with @p trace_id, across all threads,
@@ -95,12 +131,51 @@ struct Event
  * first use clamp to the calibration origin. */
 std::vector<Event> eventsForTrace(uint64_t trace_id);
 
-/** Total events ever pushed across all rings (monotone; for tests). */
+/** Total ring slots ever written across all rings (monotone; for
+ * tests). */
 uint64_t recordedCount();
 
-/** Render events as a standalone Chrome trace-event JSON document. */
+/** Rings the registry has ever created (for tests): at most the
+ * number of threads that held one at the same time. */
+size_t ringCount();
+
+// ---- --trace capture ----------------------------------------------
+//
+// A capture is a drain of the rings. Each ring keeps a cursor: the
+// first slot not yet drained. beginCapture() moves every cursor to its
+// ring's head; a drain moves the events between a cursor and the head
+// into the capture buffer. Slots the ring overwrote before they were
+// drained are counted as dropped.
+
+/** Start a fresh capture (trace::setEnabled(true) calls this). */
+void beginCapture();
+
+/** Drain the calling thread's ring into the capture. The service calls
+ * this after each request while tracing is on. */
+void drainThread();
+
+/** A finished capture. */
+struct Capture
+{
+    /** Every drained event, ordered by timestamp. */
+    std::vector<Event> events;
+    /** Ring slots (spans and their args) overwritten before they were
+     * drained. */
+    uint64_t dropped = 0;
+};
+
+/** Drain every ring, then hand over and reset the capture buffer. */
+Capture endCapture();
+
+/** Render events as a standalone Chrome trace-event JSON document:
+ * "ph":"X" complete events with ts/dur in microseconds and the span's
+ * trace id, counters and labels under "args"; @p trace_id, @p reason
+ * and @p dropped go under "otherData". Loadable in chrome://tracing or
+ * Perfetto. The one writer for --trace, spool files and crash
+ * captures. */
 std::string toChromeJson(const std::vector<Event> &events,
-                         uint64_t trace_id, const char *reason);
+                         uint64_t trace_id, const char *reason,
+                         uint64_t dropped = 0);
 
 /** Disk spool configuration. Unarmed by default: the library never
  * writes to disk unless a tool arms a directory. */

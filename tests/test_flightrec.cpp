@@ -1,21 +1,24 @@
 /**
  * @file
  * Flight recorder tests: the always-on ring captures spans with full
- * tracing off, tail-based spooling writes a parseable Chrome trace for
- * a request that ended badly, and the spool directory is a size-capped
- * FIFO that never exceeds its byte budget.
+ * tracing off, exited threads hand their rings to new ones, tail-based
+ * spooling writes a parseable Chrome trace for a request that ended
+ * badly, the spool directory is a size-capped FIFO that never exceeds
+ * its byte budget, and crash captures decode spans with their args.
  */
 
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -113,19 +116,111 @@ TEST(FlightRecorder, EventsComeBackInTimestampOrder)
 
 TEST(FlightRecorder, RingWindowExcludesTheSlotUnderOverwrite)
 {
-    // push() stores slot fields before publishing the new head, so a
-    // reader observing head == h must assume the slot event h reuses
-    // (one full lap back) is mid-overwrite and discard it - even on a
-    // quiescent ring, where the writer could be paused between the
-    // field stores and the head bump. Observable contract: a full
-    // ring reports kRingSlots - 1 events, never a possibly-torn
-    // kRingSlots-th.
+    // push() stores a span's slots (up to kMaxArgs args, then the
+    // span) before publishing the new head, so a reader observing
+    // head == h must assume the kMaxArgs + 1 slots from h on reuse
+    // (one full lap back) are mid-overwrite and discard them - even on
+    // a quiescent ring, where the writer could be paused between the
+    // slot stores and the head bump. Observable contract: a ring full
+    // of argless spans reports kRingSlots - kMaxArgs - 1 of them,
+    // never a possibly-torn older one.
     const uint64_t id = kIdBase + 4;
     const uint64_t base = flightrec::nowTicks();
     for (size_t i = 0; i < flightrec::kRingSlots; ++i)
         flightrec::record("window-span", id, base + i, 1);
     EXPECT_EQ(flightrec::eventsForTrace(id).size(),
-              flightrec::kRingSlots - 1);
+              flightrec::kRingSlots - flightrec::kMaxArgs - 1);
+}
+
+TEST(FlightRecorder, ReadersOfAWrappingRingNeverMixUpArgs)
+{
+    // One thread wraps its ring many times over with spans of 0 to
+    // kMaxArgs args, each arg holding its own span's trace id; two
+    // readers drain and snapshot every ring meanwhile. Whatever comes
+    // out must be whole: an arg never carries another span's id, and
+    // an arg slot never decodes as a span of its own.
+    constexpr uint64_t kWrapBase = kIdBase + 0x10000;
+    std::atomic<bool> stop{false};
+    std::atomic<uint64_t> written{0};
+    std::thread writer([&] {
+        const uint64_t base = flightrec::nowTicks();
+        for (uint64_t seq = 0;
+             !stop.load() || seq < 4 * flightrec::kRingSlots; ++seq) {
+            const uint64_t id = kWrapBase + seq;
+            flightrec::ArgSlot args[flightrec::kMaxArgs];
+            const size_t nargs = seq % (flightrec::kMaxArgs + 1);
+            for (size_t i = 0; i < nargs; ++i) {
+                args[i] = i % 2 == 0
+                              ? flightrec::counterArg("wrap-count", id)
+                              : flightrec::labelArg("wrap-label",
+                                                    std::to_string(id));
+            }
+            flightrec::record("wrap-span", id, base + seq, 1, args, nargs,
+                              0xaa);
+            written.store(seq + 1);
+        }
+    });
+
+    std::atomic<size_t> checked{0};
+    auto check = [&](const std::vector<flightrec::Event> &events) {
+        for (const flightrec::Event &e : events) {
+            const std::string name = e.name;
+            ASSERT_NE(name, "wrap-count");
+            ASSERT_NE(name, "wrap-label");
+            if (name != "wrap-span")
+                continue;
+            ASSERT_GE(e.trace_id, kWrapBase);
+            const uint64_t seq = e.trace_id - kWrapBase;
+            ASSERT_EQ(e.args.size(), seq % (flightrec::kMaxArgs + 1));
+            for (size_t i = 0; i < e.args.size(); ++i) {
+                const flightrec::Arg &a = e.args[i];
+                if (i % 2 == 0) {
+                    ASSERT_FALSE(a.is_label);
+                    ASSERT_EQ(a.value, e.trace_id);
+                } else {
+                    ASSERT_TRUE(a.is_label);
+                    ASSERT_EQ(a.text, std::to_string(e.trace_id));
+                }
+            }
+            ++checked;
+        }
+    };
+    std::thread drainer([&] {
+        while (written.load() < 2 * flightrec::kRingSlots)
+            std::this_thread::yield();
+        for (int i = 0; i < 200; ++i)
+            check(flightrec::endCapture().events);
+    });
+    while (written.load() < 2 * flightrec::kRingSlots)
+        std::this_thread::yield();
+    for (int i = 0; i < 200; ++i)
+        check(flightrec::eventsForTrace(0));
+    drainer.join();
+    stop.store(true);
+    writer.join();
+    EXPECT_GT(checked.load(), 0u);
+}
+
+TEST(FlightRecorder, ExitedThreadsGiveTheirRingsBack)
+{
+    // Threads run one after another: each takes the ring the previous
+    // one gave back at exit, so the registry grows by at most one ring
+    // (not one per thread), and a reused ring keeps its lane tid.
+    const size_t before = flightrec::ringCount();
+    for (uint64_t t = 0; t < 64; ++t) {
+        std::thread([t] {
+            trace::IdScope scope(kIdBase + 200 + t);
+            trace::ScopedSpan span("ring-reuse-span");
+        }).join();
+    }
+    EXPECT_LE(flightrec::ringCount(), before + 1);
+    std::vector<flightrec::Event> first =
+        flightrec::eventsForTrace(kIdBase + 201);
+    std::vector<flightrec::Event> last =
+        flightrec::eventsForTrace(kIdBase + 263);
+    ASSERT_EQ(first.size(), 1u);
+    ASSERT_EQ(last.size(), 1u);
+    EXPECT_EQ(first[0].tid, last[0].tid);
 }
 
 TEST(FlightRecorder, ArmResumesSequenceNumbersPastAdoptedFiles)
@@ -303,6 +398,11 @@ TEST(CrashCapture, SegfaultLeavesADecodableCapture)
         for (int i = 0; i < 32; ++i)
             flightrec::record("crash-test-span", kIdBase + 90,
                               flightrec::nowTicks(), 100);
+        const flightrec::ArgSlot args[] = {
+            flightrec::counterArg("crash_count", 5),
+            flightrec::labelArg("crash_label", "boom")};
+        flightrec::record("crash-arg-span", kIdBase + 90,
+                          flightrec::nowTicks(), 100, args, 2, 0b10);
         raise(SIGSEGV);
         _exit(4); // unreachable: the default disposition kills us
     }
@@ -329,6 +429,9 @@ TEST(CrashCapture, SegfaultLeavesADecodableCapture)
     // last spans.
     EXPECT_NO_THROW(parseJson(json));
     EXPECT_NE(json.find("crash-test-span"), std::string::npos);
+    // Arg slots decode back into the args of their span.
+    EXPECT_NE(json.find("\"crash_count\":5"), std::string::npos);
+    EXPECT_NE(json.find("\"crash_label\":\"boom\""), std::string::npos);
     fs::remove_all(dir);
 }
 

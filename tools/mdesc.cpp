@@ -160,9 +160,10 @@ looksLikeLmdes(const std::string &data)
 }
 
 /**
- * --trace support: enables span collection for the command's lifetime
- * and writes the Chrome trace-event JSON on scope exit, so every return
- * path (including the store-hit early exit) produces a trace file.
+ * --trace support: turns tracing on for the command's lifetime and, on
+ * scope exit, drains the flight-recorder rings into a Chrome trace-event
+ * JSON file, so every return path (including the store-hit early exit)
+ * produces a trace file.
  */
 class TraceFile
 {
@@ -178,16 +179,19 @@ class TraceFile
         if (path_.empty())
             return;
         trace::setEnabled(false);
+        const flightrec::Capture capture = flightrec::endCapture();
         std::ofstream out(path_, std::ios::binary | std::ios::trunc);
         if (!out) {
             std::fprintf(stderr, "mdesc: cannot write trace file '%s'\n",
                          path_.c_str());
             return;
         }
-        out << trace::Collector::instance().toChromeJson() << "\n";
-        std::fprintf(stderr, "wrote trace %s (%zu spans)\n",
-                     path_.c_str(),
-                     trace::Collector::instance().spanCount());
+        out << flightrec::toChromeJson(capture.events, 0, "trace",
+                                       capture.dropped)
+            << "\n";
+        std::fprintf(stderr, "wrote trace %s (%zu spans, %llu dropped)\n",
+                     path_.c_str(), capture.events.size(),
+                     (unsigned long long)capture.dropped);
     }
 
     TraceFile(const TraceFile &) = delete;
