@@ -11,7 +11,9 @@
 # see the same stretch of host load. Prints, per metric, each side's
 # median and quartiles over the seeds, the median HEAD/BASE ratio of the
 # pairs with its quartiles, and how many pairs HEAD won (by the
-# metric's direction in BENCHMARK.json; ties count for neither).
+# metric's direction in BENCHMARK.json; ties count for neither). Then
+# every run's value of each end-to-end metric, so no run goes
+# unreported.
 #
 #   SEEDS      space- or comma-separated seeds (default "1 2 3")
 #   -w         comma-separated workloads (default all three)
@@ -124,4 +126,17 @@ for workload in workloads:
         print(f"{workload:<13} {name:<38} {fmt(summary(b)):>26} "
               f"{fmt(summary(h)):>26} {fmt(summary(ratios)):>21} "
               f"{wins}/{len(b)}")
+
+print(f"\nEvery run (seeds {' '.join(seeds)}):")
+for workload in workloads:
+    for m in spec["end_to_end"]:
+        name = m["name"]
+        for side in ("base", "head"):
+            values = [metrics(workload, side, s).get(name, {}).get("value")
+                      for s in seeds]
+            if all(v is None for v in values):
+                break
+            print(f"{workload:<13} {name:<15} {side.upper():<4} "
+                  + " ".join("-" if v is None else f"{v:.4g}"
+                             for v in values))
 EOF

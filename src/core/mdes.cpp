@@ -195,72 +195,63 @@ Mdes::orTreeShareCounts() const
 std::string
 Mdes::validate() const
 {
-    std::ostringstream os;
+    // Formatting is the expensive part; only a problem pays for it.
+    auto report = [](const auto &...parts) {
+        std::ostringstream os;
+        (os << ... << parts);
+        return os.str();
+    };
     for (size_t i = 0; i < options_.size(); ++i) {
         const auto &opt = options_[i];
-        if (opt.usages.empty()) {
-            os << "option " << i << " has no usages";
-            return os.str();
-        }
-        auto sorted = opt.usages;
-        std::sort(sorted.begin(), sorted.end());
-        for (size_t j = 0; j + 1 < sorted.size(); ++j) {
-            if (sorted[j] == sorted[j + 1]) {
-                os << "option " << i << " uses "
-                   << resourceName(sorted[j].resource) << " at time "
-                   << sorted[j].time << " more than once";
-                return os.str();
-            }
+        if (opt.usages.empty())
+            return report("option ", i, " has no usages");
+        for (size_t j = 0; j < opt.usages.size(); ++j) {
+            if (std::find(opt.usages.begin() + j + 1, opt.usages.end(),
+                          opt.usages[j]) == opt.usages.end())
+                continue;
+            // Report the smallest repeated usage.
+            auto sorted = opt.usages;
+            std::sort(sorted.begin(), sorted.end());
+            auto dup = std::adjacent_find(sorted.begin(), sorted.end());
+            return report("option ", i, " uses ",
+                          resourceName(dup->resource), " at time ",
+                          dup->time, " more than once");
         }
         for (const auto &u : opt.usages) {
-            if (u.resource >= num_resources_) {
-                os << "option " << i << " references resource "
-                   << u.resource << " out of range";
-                return os.str();
-            }
+            if (u.resource >= num_resources_)
+                return report("option ", i, " references resource ",
+                              u.resource, " out of range");
         }
     }
     for (size_t i = 0; i < or_trees_.size(); ++i) {
-        if (or_trees_[i].options.empty()) {
-            os << "OR-tree '" << or_trees_[i].name << "' has no options";
-            return os.str();
-        }
+        if (or_trees_[i].options.empty())
+            return report("OR-tree '", or_trees_[i].name,
+                          "' has no options");
         for (OptionId o : or_trees_[i].options) {
-            if (o >= options_.size()) {
-                os << "OR-tree '" << or_trees_[i].name
-                   << "' references bad option " << o;
-                return os.str();
-            }
+            if (o >= options_.size())
+                return report("OR-tree '", or_trees_[i].name,
+                              "' references bad option ", o);
         }
     }
     for (size_t i = 0; i < trees_.size(); ++i) {
-        if (trees_[i].or_trees.empty()) {
-            os << "AND/OR-tree '" << trees_[i].name << "' has no subtrees";
-            return os.str();
-        }
+        if (trees_[i].or_trees.empty())
+            return report("AND/OR-tree '", trees_[i].name,
+                          "' has no subtrees");
         for (OrTreeId ot : trees_[i].or_trees) {
-            if (ot >= or_trees_.size()) {
-                os << "AND/OR-tree '" << trees_[i].name
-                   << "' references bad OR-tree " << ot;
-                return os.str();
-            }
+            if (ot >= or_trees_.size())
+                return report("AND/OR-tree '", trees_[i].name,
+                              "' references bad OR-tree ", ot);
         }
     }
     for (const auto &oc : op_classes_) {
-        if (oc.tree == kInvalidId || oc.tree >= trees_.size()) {
-            os << "operation '" << oc.name << "' references bad tree";
-            return os.str();
-        }
+        if (oc.tree == kInvalidId || oc.tree >= trees_.size())
+            return report("operation '", oc.name, "' references bad tree");
         if (oc.cascade_tree != kInvalidId &&
-            oc.cascade_tree >= trees_.size()) {
-            os << "operation '" << oc.name
-               << "' references bad cascade tree";
-            return os.str();
-        }
-        if (oc.latency < 0) {
-            os << "operation '" << oc.name << "' has negative latency";
-            return os.str();
-        }
+            oc.cascade_tree >= trees_.size())
+            return report("operation '", oc.name,
+                          "' references bad cascade tree");
+        if (oc.latency < 0)
+            return report("operation '", oc.name, "' has negative latency");
     }
     return "";
 }

@@ -28,11 +28,16 @@
  * `for` loops expand (nested) option lists; `and(...)` composes named
  * OR-trees into an AND/OR-tree; a bare identifier makes a table whose AND
  * level points at one OR-tree (the paper's Pentium-style description).
+ *
+ * The AST borrows from the parsed source: every name and string is a
+ * std::string_view into it, so the source text must outlive the
+ * MachineDecl. Expressions live in one pool per MachineDecl and refer to
+ * each other (and are referred to) by index.
  */
 
-#include <memory>
+#include <cstdint>
 #include <optional>
-#include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -40,30 +45,34 @@
 
 namespace mdes::hmdes {
 
-struct Expr;
-using ExprPtr = std::unique_ptr<Expr>;
+/** Index of an Expr in MachineDecl::exprs. */
+using ExprId = uint32_t;
+
+/** Marks an absent optional expression (e.g. a resource without a
+ * count). */
+constexpr ExprId kNoExpr = UINT32_MAX;
 
 /** Arithmetic expression node. */
 struct Expr
 {
-    enum class Kind { IntLit, VarRef, Unary, Binary };
+    enum class Kind : uint8_t { IntLit, VarRef, Unary, Binary };
 
     Kind kind = Kind::IntLit;
+    char op = 0; ///< Unary ('-') / Binary ('+','-','*','/','%')
     SourceLocation loc;
-    int64_t value = 0;       ///< IntLit
-    std::string name;        ///< VarRef
-    char op = 0;             ///< Unary ('-') / Binary ('+','-','*','/','%')
-    ExprPtr lhs;
-    ExprPtr rhs;
+    int64_t value = 0;          ///< IntLit
+    std::string_view name = {}; ///< VarRef
+    ExprId lhs = kNoExpr;       ///< Unary operand / Binary left
+    ExprId rhs = kNoExpr;       ///< Binary right
 };
 
 /** `use Res[idx] at time;` */
 struct UsageDecl
 {
     SourceLocation loc;
-    std::string resource;
-    ExprPtr index; ///< null for single-instance resources
-    ExprPtr time;
+    std::string_view resource;
+    ExprId index = kNoExpr; ///< absent for single-instance resources
+    ExprId time = kNoExpr;
 };
 
 struct UsageForDecl;
@@ -77,9 +86,9 @@ using OptItem = std::variant<UsageDecl, UsageForDecl>;
 struct UsageForDecl
 {
     SourceLocation loc;
-    std::string var;
-    ExprPtr lo;
-    ExprPtr hi;
+    std::string_view var;
+    ExprId lo = kNoExpr;
+    ExprId hi = kNoExpr;
     std::vector<OptItem> body;
 };
 
@@ -99,9 +108,9 @@ using OrItem = std::variant<OptionDecl, ForDecl>;
 struct ForDecl
 {
     SourceLocation loc;
-    std::string var;
-    ExprPtr lo;
-    ExprPtr hi;
+    std::string_view var;
+    ExprId lo = kNoExpr;
+    ExprId hi = kNoExpr;
     std::vector<OrItem> body;
 };
 
@@ -109,23 +118,23 @@ struct ForDecl
 struct ResourceDecl
 {
     SourceLocation loc;
-    std::string name;
-    ExprPtr count; ///< null means 1
+    std::string_view name;
+    ExprId count = kNoExpr; ///< absent means 1
 };
 
 /** `let NAME = expr;` */
 struct LetDecl
 {
     SourceLocation loc;
-    std::string name;
-    ExprPtr value;
+    std::string_view name;
+    ExprId value = kNoExpr;
 };
 
 /** `ortree Name { ... }` */
 struct OrTreeDecl
 {
     SourceLocation loc;
-    std::string name;
+    std::string_view name;
     std::vector<OrItem> items;
 };
 
@@ -133,9 +142,9 @@ struct OrTreeDecl
 struct TableDecl
 {
     SourceLocation loc;
-    std::string name;
+    std::string_view name;
     bool is_and = false;
-    std::vector<std::string> or_tree_names;
+    std::vector<std::string_view> or_tree_names;
     std::vector<SourceLocation> or_tree_locs;
 };
 
@@ -143,13 +152,13 @@ struct TableDecl
 struct OperationDecl
 {
     SourceLocation loc;
-    std::string name;
-    std::optional<std::string> table;
+    std::string_view name;
+    std::optional<std::string_view> table;
     SourceLocation table_loc;
-    ExprPtr latency; ///< null means 1
-    std::optional<std::string> cascade;
+    ExprId latency = kNoExpr; ///< absent means 1
+    std::optional<std::string_view> cascade;
     SourceLocation cascade_loc;
-    std::optional<std::string> note;
+    std::optional<std::string_view> note;
 };
 
 /** `bypass PRODUCER CONSUMER latency N;` - a forwarding path: when
@@ -159,11 +168,11 @@ struct OperationDecl
 struct BypassDecl
 {
     SourceLocation loc;
-    std::string from;
-    std::string to;
+    std::string_view from;
+    std::string_view to;
     SourceLocation from_loc;
     SourceLocation to_loc;
-    ExprPtr latency;
+    ExprId latency = kNoExpr;
 };
 
 /** One top-level declaration, in source order. */
@@ -174,8 +183,10 @@ using Decl = std::variant<ResourceDecl, LetDecl, OrTreeDecl, TableDecl,
 struct MachineDecl
 {
     SourceLocation loc;
-    std::string name;
+    std::string_view name;
     std::vector<Decl> decls;
+    /** Every expression of every declaration, addressed by ExprId. */
+    std::vector<Expr> exprs;
 };
 
 } // namespace mdes::hmdes

@@ -1,8 +1,8 @@
 #include "hmdes/builder.h"
 
 #include <algorithm>
-#include <map>
-#include <sstream>
+#include <limits>
+#include <unordered_map>
 
 namespace mdes::hmdes {
 
@@ -13,25 +13,45 @@ constexpr int64_t kMaxUsageTime = 4096;
 /** Sanity bound on resource instance counts and loop trip counts. */
 constexpr int64_t kMaxCount = 4096;
 
+/** Concatenate message parts (strings, views, literals). */
+template <typename... Parts>
+std::string
+cat(const Parts &...parts)
+{
+    std::string s;
+    (s.append(std::string_view(parts)), ...);
+    return s;
+}
+
+/** Name -> id table keyed by views into the source. */
+template <typename Id>
+using SymbolTable = std::unordered_map<std::string_view, Id>;
+
 class Builder
 {
   public:
     Builder(const MachineDecl &machine, DiagnosticEngine &diags)
-        : machine_(machine), diags_(diags), mdes_(machine.name)
+        : machine_(machine), diags_(diags), mdes_(std::string(machine.name))
     {
     }
 
     std::optional<Mdes> run();
 
   private:
-    std::optional<int64_t> eval(const Expr &e);
-    void declareResource(const ResourceDecl &d);
-    void declareLet(const LetDecl &d);
-    void declareOrTree(const OrTreeDecl &d);
-    void declareTable(const TableDecl &d);
-    void declareOperation(const OperationDecl &d);
-    void declareBypass(const BypassDecl &d);
+    std::optional<int64_t> eval(ExprId id);
+    void declare(const ResourceDecl &d);
+    void declare(const LetDecl &d);
+    void declare(const OrTreeDecl &d);
+    void declare(const TableDecl &d);
+    void declare(const OperationDecl &d);
+    void declare(const BypassDecl &d);
 
+    /** Value of a let constant or live loop variable, else null. */
+    const int64_t *lookup(std::string_view name) const;
+    /** Run @p body once per iteration of @p loop (a ForDecl or
+     * UsageForDecl) with its variable bound; false on any error. */
+    template <typename Loop, typename Body>
+    bool expandLoop(const Loop &loop, Body &&body);
     bool expandItems(const std::vector<OrItem> &items,
                      std::vector<OptionId> &out);
     bool expandUsageItems(const std::vector<OptItem> &items,
@@ -42,97 +62,149 @@ class Builder
     DiagnosticEngine &diags_;
     Mdes mdes_;
 
-    std::map<std::string, int64_t> env_;
-    std::map<std::string, size_t> resource_classes_; ///< name -> class idx
-    std::map<std::string, OrTreeId> or_trees_;
-    std::map<std::string, TreeId> tables_;
+    /** Let constants in declaration order, then the variables of the
+     * loops being expanded, innermost last. Names never repeat: a
+     * redefinition or a shadowing loop variable is an error. */
+    std::vector<std::pair<std::string_view, int64_t>> env_;
+    SymbolTable<size_t> resource_classes_; ///< name -> class idx
+    SymbolTable<OrTreeId> or_trees_;
+    SymbolTable<TreeId> tables_;
+    SymbolTable<OpClassId> operations_;
 };
 
-std::optional<int64_t>
-Builder::eval(const Expr &e)
+const int64_t *
+Builder::lookup(std::string_view name) const
 {
+    for (auto it = env_.rbegin(); it != env_.rend(); ++it) {
+        if (it->first == name)
+            return &it->second;
+    }
+    return nullptr;
+}
+
+std::optional<int64_t>
+Builder::eval(ExprId id)
+{
+    const Expr &e = machine_.exprs[id];
+    int64_t out = 0;
+    bool overflow = false;
     switch (e.kind) {
       case Expr::Kind::IntLit:
         return e.value;
       case Expr::Kind::VarRef: {
-        auto it = env_.find(e.name);
-        if (it == env_.end()) {
-            diags_.error(e.loc, "unknown constant or loop variable '" +
-                                    e.name + "'");
+        const int64_t *v = lookup(e.name);
+        if (!v) {
+            diags_.error(e.loc, cat("unknown constant or loop variable '",
+                                    e.name, "'"));
             return std::nullopt;
         }
-        return it->second;
+        return *v;
       }
       case Expr::Kind::Unary: {
-        auto v = eval(*e.lhs);
+        auto v = eval(e.lhs);
         if (!v)
             return std::nullopt;
-        return -*v;
+        overflow = __builtin_sub_overflow(int64_t(0), *v, &out);
+        break;
       }
       case Expr::Kind::Binary: {
-        auto l = eval(*e.lhs);
-        auto r = eval(*e.rhs);
+        auto l = eval(e.lhs);
+        auto r = eval(e.rhs);
         if (!l || !r)
             return std::nullopt;
         switch (e.op) {
-          case '+': return *l + *r;
-          case '-': return *l - *r;
-          case '*': return *l * *r;
+          case '+': overflow = __builtin_add_overflow(*l, *r, &out); break;
+          case '-': overflow = __builtin_sub_overflow(*l, *r, &out); break;
+          case '*': overflow = __builtin_mul_overflow(*l, *r, &out); break;
           case '/':
-            if (*r == 0) {
-                diags_.error(e.loc, "division by zero");
-                return std::nullopt;
-            }
-            return *l / *r;
           case '%':
             if (*r == 0) {
-                diags_.error(e.loc, "modulo by zero");
+                diags_.error(e.loc, e.op == '/' ? "division by zero"
+                                                : "modulo by zero");
                 return std::nullopt;
             }
-            return *l % *r;
+            // The one quotient that does not fit (and traps on x86).
+            overflow = *l == std::numeric_limits<int64_t>::min() && *r == -1;
+            if (!overflow)
+                out = e.op == '/' ? *l / *r : *l % *r;
+            break;
           default:
             diags_.error(e.loc, "internal: bad binary operator");
             return std::nullopt;
         }
+        break;
       }
     }
-    return std::nullopt;
+    if (overflow) {
+        diags_.error(e.loc, "constant expression overflows");
+        return std::nullopt;
+    }
+    return out;
 }
 
 void
-Builder::declareResource(const ResourceDecl &d)
+Builder::declare(const ResourceDecl &d)
 {
     if (resource_classes_.count(d.name)) {
-        diags_.error(d.loc, "resource '" + d.name + "' already declared");
+        diags_.error(d.loc, cat("resource '", d.name, "' already declared"));
         return;
     }
     int64_t count = 1;
-    if (d.count) {
-        auto v = eval(*d.count);
+    if (d.count != kNoExpr) {
+        auto v = eval(d.count);
         if (!v)
             return;
         count = *v;
     }
     if (count < 1 || count > kMaxCount) {
-        diags_.error(d.loc, "resource count must be in [1, " +
-                                std::to_string(kMaxCount) + "]");
+        diags_.error(d.loc, cat("resource count must be in [1, ",
+                                std::to_string(kMaxCount), "]"));
         return;
     }
-    mdes_.addResourceClass(d.name, uint32_t(count));
-    resource_classes_[d.name] = mdes_.resourceClasses().size() - 1;
+    mdes_.addResourceClass(std::string(d.name), uint32_t(count));
+    resource_classes_.emplace(d.name, mdes_.resourceClasses().size() - 1);
 }
 
 void
-Builder::declareLet(const LetDecl &d)
+Builder::declare(const LetDecl &d)
 {
-    if (env_.count(d.name)) {
-        diags_.error(d.loc, "constant '" + d.name + "' already defined");
+    if (lookup(d.name)) {
+        diags_.error(d.loc, cat("constant '", d.name, "' already defined"));
         return;
     }
-    auto v = eval(*d.value);
+    auto v = eval(d.value);
     if (!v)
         return;
-    env_[d.name] = *v;
+    env_.emplace_back(d.name, *v);
+}
+
+template <typename Loop, typename Body>
+bool
+Builder::expandLoop(const Loop &loop, Body &&body)
+{
+    if (lookup(loop.var)) {
+        diags_.error(loop.loc, cat("loop variable '", loop.var,
+                                   "' shadows an existing name"));
+        return false;
+    }
+    auto lo = eval(loop.lo);
+    auto hi = eval(loop.hi);
+    if (!lo || !hi)
+        return false;
+    // hi - lo is computed unsigned: it cannot overflow once hi >= lo.
+    uint64_t span = *hi < *lo ? 0 : uint64_t(*hi) - uint64_t(*lo) + 1;
+    if (span > uint64_t(kMaxCount)) {
+        diags_.error(loop.loc, "loop trip count too large");
+        return false;
+    }
+    env_.emplace_back(loop.var, 0);
+    bool ok = true;
+    for (uint64_t i = 0; ok && i < span; ++i) {
+        env_.back().second = *lo + int64_t(i);
+        ok = body(loop.body);
+    }
+    env_.pop_back();
+    return ok;
 }
 
 bool
@@ -141,63 +213,45 @@ Builder::expandUsageItems(const std::vector<OptItem> &items,
 {
     for (const auto &item : items) {
         if (const auto *loop = std::get_if<UsageForDecl>(&item)) {
-            if (env_.count(loop->var)) {
-                diags_.error(loop->loc, "loop variable '" + loop->var +
-                                            "' shadows an existing name");
+            if (!expandLoop(*loop, [&](const std::vector<OptItem> &body) {
+                    return expandUsageItems(body, option);
+                }))
                 return false;
-            }
-            auto lo = eval(*loop->lo);
-            auto hi = eval(*loop->hi);
-            if (!lo || !hi)
-                return false;
-            if (*hi - *lo + 1 > kMaxCount) {
-                diags_.error(loop->loc, "loop trip count too large");
-                return false;
-            }
-            for (int64_t v = *lo; v <= *hi; ++v) {
-                env_[loop->var] = v;
-                if (!expandUsageItems(loop->body, option)) {
-                    env_.erase(loop->var);
-                    return false;
-                }
-            }
-            env_.erase(loop->var);
             continue;
         }
         const auto &u = std::get<UsageDecl>(item);
         auto cls_it = resource_classes_.find(u.resource);
         if (cls_it == resource_classes_.end()) {
-            diags_.error(u.loc,
-                         "unknown resource '" + u.resource + "'");
+            diags_.error(u.loc, cat("unknown resource '", u.resource, "'"));
             return false;
         }
         const ResourceClass &rc =
             mdes_.resourceClasses()[cls_it->second];
         int64_t index = 0;
-        if (u.index) {
-            auto v = eval(*u.index);
+        if (u.index != kNoExpr) {
+            auto v = eval(u.index);
             if (!v)
                 return false;
             index = *v;
         } else if (rc.count > 1) {
-            diags_.error(u.loc, "resource '" + u.resource + "' has " +
-                                    std::to_string(rc.count) +
-                                    " instances; an index is required");
+            diags_.error(u.loc, cat("resource '", u.resource, "' has ",
+                                    std::to_string(rc.count),
+                                    " instances; an index is required"));
             return false;
         }
         if (index < 0 || index >= int64_t(rc.count)) {
-            diags_.error(u.loc, "index " + std::to_string(index) +
-                                    " out of range for resource '" +
-                                    u.resource + "' (count " +
-                                    std::to_string(rc.count) + ")");
+            diags_.error(u.loc, cat("index ", std::to_string(index),
+                                    " out of range for resource '",
+                                    u.resource, "' (count ",
+                                    std::to_string(rc.count), ")"));
             return false;
         }
-        auto time = eval(*u.time);
+        auto time = eval(u.time);
         if (!time)
             return false;
         if (*time < -kMaxUsageTime || *time > kMaxUsageTime) {
-            diags_.error(u.loc, "usage time " + std::to_string(*time) +
-                                    " out of sane range");
+            diags_.error(u.loc, cat("usage time ", std::to_string(*time),
+                                    " out of sane range"));
             return false;
         }
         ResourceUsage usage;
@@ -206,10 +260,10 @@ Builder::expandUsageItems(const std::vector<OptItem> &items,
         if (std::find(option.usages.begin(), option.usages.end(), usage) !=
             option.usages.end()) {
             diags_.error(u.loc,
-                         "duplicate usage of '" +
-                             mdes_.resourceName(usage.resource) +
-                             "' at time " + std::to_string(usage.time) +
-                             " within one option");
+                         cat("duplicate usage of '",
+                             mdes_.resourceName(usage.resource),
+                             "' at time ", std::to_string(usage.time),
+                             " within one option"));
             return false;
         }
         option.usages.push_back(usage);
@@ -221,6 +275,7 @@ std::optional<Option>
 Builder::buildOption(const OptionDecl &d)
 {
     Option option;
+    option.usages.reserve(d.items.size());
     if (!expandUsageItems(d.items, option))
         return std::nullopt;
     if (option.usages.empty()) {
@@ -240,39 +295,21 @@ Builder::expandItems(const std::vector<OrItem> &items,
             if (!built)
                 return false;
             out.push_back(mdes_.addOption(std::move(*built)));
-        } else {
-            const auto &loop = std::get<ForDecl>(item);
-            if (env_.count(loop.var)) {
-                diags_.error(loop.loc, "loop variable '" + loop.var +
-                                           "' shadows an existing name");
-                return false;
-            }
-            auto lo = eval(*loop.lo);
-            auto hi = eval(*loop.hi);
-            if (!lo || !hi)
-                return false;
-            if (*hi - *lo + 1 > kMaxCount) {
-                diags_.error(loop.loc, "loop trip count too large");
-                return false;
-            }
-            for (int64_t v = *lo; v <= *hi; ++v) {
-                env_[loop.var] = v;
-                if (!expandItems(loop.body, out)) {
-                    env_.erase(loop.var);
-                    return false;
-                }
-            }
-            env_.erase(loop.var);
+        } else if (!expandLoop(std::get<ForDecl>(item),
+                               [&](const std::vector<OrItem> &body) {
+                                   return expandItems(body, out);
+                               })) {
+            return false;
         }
     }
     return true;
 }
 
 void
-Builder::declareOrTree(const OrTreeDecl &d)
+Builder::declare(const OrTreeDecl &d)
 {
     if (or_trees_.count(d.name)) {
-        diags_.error(d.loc, "ortree '" + d.name + "' already declared");
+        diags_.error(d.loc, cat("ortree '", d.name, "' already declared"));
         return;
     }
     OrTree tree;
@@ -280,17 +317,17 @@ Builder::declareOrTree(const OrTreeDecl &d)
     if (!expandItems(d.items, tree.options))
         return;
     if (tree.options.empty()) {
-        diags_.error(d.loc, "ortree '" + d.name + "' has no options");
+        diags_.error(d.loc, cat("ortree '", d.name, "' has no options"));
         return;
     }
-    or_trees_[d.name] = mdes_.addOrTree(std::move(tree));
+    or_trees_.emplace(d.name, mdes_.addOrTree(std::move(tree)));
 }
 
 void
-Builder::declareTable(const TableDecl &d)
+Builder::declare(const TableDecl &d)
 {
     if (tables_.count(d.name)) {
-        diags_.error(d.loc, "table '" + d.name + "' already declared");
+        diags_.error(d.loc, cat("table '", d.name, "' already declared"));
         return;
     }
     AndOrTree tree;
@@ -298,8 +335,8 @@ Builder::declareTable(const TableDecl &d)
     for (size_t i = 0; i < d.or_tree_names.size(); ++i) {
         auto it = or_trees_.find(d.or_tree_names[i]);
         if (it == or_trees_.end()) {
-            diags_.error(d.or_tree_locs[i], "unknown ortree '" +
-                                                d.or_tree_names[i] + "'");
+            diags_.error(d.or_tree_locs[i], cat("unknown ortree '",
+                                                d.or_tree_names[i], "'"));
             return;
         }
         tree.or_trees.push_back(it->second);
@@ -316,40 +353,40 @@ Builder::declareTable(const TableDecl &d)
                                       tree.or_trees[j])) {
                 diags_.warning(
                     d.loc,
-                    "table '" + d.name + "': AND subtrees '" +
-                        mdes_.orTree(tree.or_trees[i]).name + "' and '" +
-                        mdes_.orTree(tree.or_trees[j]).name +
+                    cat("table '", d.name, "': AND subtrees '",
+                        mdes_.orTree(tree.or_trees[i]).name, "' and '",
+                        mdes_.orTree(tree.or_trees[j]).name,
                         "' can use the same resource at the same time; "
                         "greedy AND/OR checking may reject combinations "
-                        "the expanded OR-tree would accept");
+                        "the expanded OR-tree would accept"));
             }
         }
     }
-    tables_[d.name] = mdes_.addTree(std::move(tree));
+    tables_.emplace(d.name, mdes_.addTree(std::move(tree)));
 }
 
 void
-Builder::declareOperation(const OperationDecl &d)
+Builder::declare(const OperationDecl &d)
 {
-    if (mdes_.findOpClass(d.name) != kInvalidId) {
-        diags_.error(d.loc, "operation '" + d.name + "' already declared");
+    if (operations_.count(d.name)) {
+        diags_.error(d.loc, cat("operation '", d.name, "' already declared"));
         return;
     }
     OperationClass oc;
     oc.name = d.name;
     if (!d.table) {
         diags_.error(d.loc,
-                     "operation '" + d.name + "' is missing a table");
+                     cat("operation '", d.name, "' is missing a table"));
         return;
     }
     auto it = tables_.find(*d.table);
     if (it == tables_.end()) {
-        diags_.error(d.table_loc, "unknown table '" + *d.table + "'");
+        diags_.error(d.table_loc, cat("unknown table '", *d.table, "'"));
         return;
     }
     oc.tree = it->second;
-    if (d.latency) {
-        auto v = eval(*d.latency);
+    if (d.latency != kNoExpr) {
+        auto v = eval(d.latency);
         if (!v)
             return;
         if (*v < 0 || *v > kMaxUsageTime) {
@@ -362,32 +399,33 @@ Builder::declareOperation(const OperationDecl &d)
         auto cit = tables_.find(*d.cascade);
         if (cit == tables_.end()) {
             diags_.error(d.cascade_loc,
-                         "unknown cascade table '" + *d.cascade + "'");
+                         cat("unknown cascade table '", *d.cascade, "'"));
             return;
         }
         oc.cascade_tree = cit->second;
     }
     if (d.note)
         oc.comment = *d.note;
-    mdes_.addOpClass(std::move(oc));
+    operations_.emplace(d.name, mdes_.addOpClass(std::move(oc)));
 }
 
 void
-Builder::declareBypass(const BypassDecl &d)
+Builder::declare(const BypassDecl &d)
 {
-    OpClassId from = mdes_.findOpClass(d.from);
-    if (from == kInvalidId) {
+    auto from_it = operations_.find(d.from);
+    if (from_it == operations_.end()) {
         diags_.error(d.from_loc,
-                     "unknown operation '" + d.from + "' in bypass");
+                     cat("unknown operation '", d.from, "' in bypass"));
         return;
     }
-    OpClassId to = mdes_.findOpClass(d.to);
-    if (to == kInvalidId) {
+    auto to_it = operations_.find(d.to);
+    if (to_it == operations_.end()) {
         diags_.error(d.to_loc,
-                     "unknown operation '" + d.to + "' in bypass");
+                     cat("unknown operation '", d.to, "' in bypass"));
         return;
     }
-    auto v = eval(*d.latency);
+    OpClassId from = from_it->second, to = to_it->second;
+    auto v = eval(d.latency);
     if (!v)
         return;
     if (*v < 0 || *v > kMaxUsageTime) {
@@ -395,15 +433,14 @@ Builder::declareBypass(const BypassDecl &d)
         return;
     }
     if (*v >= mdes_.opClass(from).latency) {
-        diags_.warning(d.loc,
-                       "bypass from '" + d.from + "' to '" + d.to +
-                           "' does not improve on the producer's "
-                           "nominal latency");
+        diags_.warning(d.loc, cat("bypass from '", d.from, "' to '", d.to,
+                                  "' does not improve on the producer's "
+                                  "nominal latency"));
     }
     for (const auto &existing : mdes_.bypasses()) {
         if (existing.from == from && existing.to == to) {
-            diags_.error(d.loc, "duplicate bypass from '" + d.from +
-                                    "' to '" + d.to + "'");
+            diags_.error(d.loc, cat("duplicate bypass from '", d.from,
+                                    "' to '", d.to, "'"));
             return;
         }
     }
@@ -413,25 +450,8 @@ Builder::declareBypass(const BypassDecl &d)
 std::optional<Mdes>
 Builder::run()
 {
-    for (const auto &decl : machine_.decls) {
-        std::visit(
-            [this](const auto &d) {
-                using T = std::decay_t<decltype(d)>;
-                if constexpr (std::is_same_v<T, ResourceDecl>)
-                    declareResource(d);
-                else if constexpr (std::is_same_v<T, LetDecl>)
-                    declareLet(d);
-                else if constexpr (std::is_same_v<T, OrTreeDecl>)
-                    declareOrTree(d);
-                else if constexpr (std::is_same_v<T, TableDecl>)
-                    declareTable(d);
-                else if constexpr (std::is_same_v<T, OperationDecl>)
-                    declareOperation(d);
-                else
-                    declareBypass(d);
-            },
-            decl);
-    }
+    for (const auto &decl : machine_.decls)
+        std::visit([this](const auto &d) { declare(d); }, decl);
     if (mdes_.opClasses().empty()) {
         diags_.error(machine_.loc,
                      "machine declares no operations");

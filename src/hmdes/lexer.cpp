@@ -1,8 +1,5 @@
 #include "hmdes/lexer.h"
 
-#include <cctype>
-#include <map>
-
 namespace mdes::hmdes {
 
 const char *
@@ -51,24 +48,60 @@ tokenKindName(TokenKind kind)
 
 namespace {
 
-const std::map<std::string_view, TokenKind> kKeywords = {
-    {"machine", TokenKind::KwMachine},
-    {"resource", TokenKind::KwResource},
-    {"let", TokenKind::KwLet},
-    {"ortree", TokenKind::KwOrTree},
-    {"for", TokenKind::KwFor},
-    {"in", TokenKind::KwIn},
-    {"option", TokenKind::KwOption},
-    {"use", TokenKind::KwUse},
-    {"at", TokenKind::KwAt},
-    {"table", TokenKind::KwTable},
-    {"and", TokenKind::KwAnd},
-    {"operation", TokenKind::KwOperation},
-    {"latency", TokenKind::KwLatency},
-    {"cascade", TokenKind::KwCascade},
-    {"note", TokenKind::KwNote},
-    {"bypass", TokenKind::KwBypass},
-};
+bool
+isSpace(char c)
+{
+    return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+bool
+isDigit(char c)
+{
+    return c >= '0' && c <= '9';
+}
+
+bool
+isIdentStart(char c)
+{
+    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_';
+}
+
+bool
+isIdentChar(char c)
+{
+    return isIdentStart(c) || isDigit(c);
+}
+
+/** The keyword spelled @p s, else Identifier. */
+TokenKind
+keywordKind(std::string_view s)
+{
+    auto is = [s](std::string_view kw, TokenKind kind) {
+        return s == kw ? kind : TokenKind::Identifier;
+    };
+    switch (s[0]) {
+      case 'a':
+        return s.size() == 2 ? is("at", TokenKind::KwAt)
+                             : is("and", TokenKind::KwAnd);
+      case 'b': return is("bypass", TokenKind::KwBypass);
+      case 'c': return is("cascade", TokenKind::KwCascade);
+      case 'f': return is("for", TokenKind::KwFor);
+      case 'i': return is("in", TokenKind::KwIn);
+      case 'l':
+        return s.size() == 3 ? is("let", TokenKind::KwLet)
+                             : is("latency", TokenKind::KwLatency);
+      case 'm': return is("machine", TokenKind::KwMachine);
+      case 'n': return is("note", TokenKind::KwNote);
+      case 'o':
+        return s.starts_with("or") ? is("ortree", TokenKind::KwOrTree)
+             : s.size() == 9       ? is("operation", TokenKind::KwOperation)
+                                   : is("option", TokenKind::KwOption);
+      case 'r': return is("resource", TokenKind::KwResource);
+      case 't': return is("table", TokenKind::KwTable);
+      case 'u': return is("use", TokenKind::KwUse);
+      default: return TokenKind::Identifier;
+    }
+}
 
 } // namespace
 
@@ -81,80 +114,51 @@ std::vector<Token>
 Lexer::lexAll()
 {
     std::vector<Token> tokens;
-    for (;;) {
-        Token t = next();
-        bool eof = t.kind == TokenKind::EndOfFile;
-        tokens.push_back(std::move(t));
-        if (eof)
-            break;
-    }
+    // The built-in descriptions run 4.9-6.9 bytes per token.
+    tokens.reserve(source_.size() / 4 + 1);
+    do {
+        tokens.push_back(next());
+    } while (tokens.back().kind != TokenKind::EndOfFile);
     return tokens;
 }
 
 char
-Lexer::peek() const
+Lexer::peek(size_t ahead) const
 {
-    return atEnd() ? '\0' : source_[pos_];
-}
-
-char
-Lexer::peekAhead() const
-{
-    return pos_ + 1 < source_.size() ? source_[pos_ + 1] : '\0';
-}
-
-char
-Lexer::advance()
-{
-    char c = source_[pos_++];
-    if (c == '\n') {
-        ++line_;
-        column_ = 1;
-    } else {
-        ++column_;
-    }
-    return c;
-}
-
-bool
-Lexer::atEnd() const
-{
-    return pos_ >= source_.size();
+    return pos_ + ahead < source_.size() ? source_[pos_ + ahead] : '\0';
 }
 
 SourceLocation
 Lexer::here() const
 {
-    return {line_, column_};
+    return {line_, int(pos_ - line_start_) + 1};
 }
 
 void
 Lexer::skipTrivia()
 {
-    for (;;) {
-        if (atEnd())
-            return;
-        char c = peek();
-        if (std::isspace(static_cast<unsigned char>(c))) {
-            advance();
-        } else if (c == '/' && peekAhead() == '/') {
-            while (!atEnd() && peek() != '\n')
-                advance();
-        } else if (c == '/' && peekAhead() == '*') {
+    while (pos_ < source_.size()) {
+        char c = source_[pos_];
+        if (c == '\n') {
+            line_start_ = ++pos_;
+            ++line_;
+        } else if (isSpace(c)) {
+            ++pos_;
+        } else if (c == '/' && peek(1) == '/') {
+            size_t eol = source_.find('\n', pos_);
+            pos_ = eol == std::string_view::npos ? source_.size() : eol;
+        } else if (c == '/' && peek(1) == '*') {
             SourceLocation start = here();
-            advance();
-            advance();
-            bool closed = false;
-            while (!atEnd()) {
-                if (peek() == '*' && peekAhead() == '/') {
-                    advance();
-                    advance();
-                    closed = true;
-                    break;
+            size_t close = source_.find("*/", pos_ + 2);
+            size_t end = close == std::string_view::npos ? source_.size()
+                                                         : close + 2;
+            for (; pos_ < end; ++pos_) {
+                if (source_[pos_] == '\n') {
+                    line_start_ = pos_ + 1;
+                    ++line_;
                 }
-                advance();
             }
-            if (!closed)
+            if (close == std::string_view::npos)
                 diags_.error(start, "unterminated block comment");
         } else {
             return;
@@ -168,12 +172,12 @@ Lexer::next()
     skipTrivia();
     Token t;
     t.loc = here();
-    if (atEnd()) {
+    if (pos_ >= source_.size()) {
         t.kind = TokenKind::EndOfFile;
         return t;
     }
 
-    char c = advance();
+    char c = source_[pos_++];
     switch (c) {
       case '{': t.kind = TokenKind::LBrace; return t;
       case '}': t.kind = TokenKind::RBrace; return t;
@@ -191,7 +195,7 @@ Lexer::next()
       case '%': t.kind = TokenKind::Percent; return t;
       case '.':
         if (peek() == '.') {
-            advance();
+            ++pos_;
             t.kind = TokenKind::DotDot;
             return t;
         }
@@ -199,28 +203,28 @@ Lexer::next()
         t.kind = TokenKind::Error;
         return t;
       case '"': {
-        std::string text;
-        while (!atEnd() && peek() != '"' && peek() != '\n')
-            text.push_back(advance());
-        if (atEnd() || peek() != '"') {
+        size_t start = pos_;
+        while (pos_ < source_.size() && source_[pos_] != '"' &&
+               source_[pos_] != '\n')
+            ++pos_;
+        if (peek() != '"') {
             diags_.error(t.loc, "unterminated string literal");
             t.kind = TokenKind::Error;
             return t;
         }
-        advance();
         t.kind = TokenKind::String;
-        t.text = std::move(text);
+        t.text = source_.substr(start, pos_++ - start);
         return t;
       }
       default:
         break;
     }
 
-    if (std::isdigit(static_cast<unsigned char>(c))) {
+    if (isDigit(c)) {
         int64_t value = c - '0';
         bool overflow = false;
-        while (!atEnd() && std::isdigit(static_cast<unsigned char>(peek()))) {
-            value = value * 10 + (advance() - '0');
+        while (isDigit(peek())) {
+            value = value * 10 + (source_[pos_++] - '0');
             if (value > 1'000'000'000) {
                 overflow = true;
                 value = 1'000'000'000;
@@ -233,20 +237,14 @@ Lexer::next()
         return t;
     }
 
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-        std::string text(1, c);
-        while (!atEnd() &&
-               (std::isalnum(static_cast<unsigned char>(peek())) ||
-                peek() == '_')) {
-            text.push_back(advance());
-        }
-        auto it = kKeywords.find(text);
-        if (it != kKeywords.end()) {
-            t.kind = it->second;
-        } else {
-            t.kind = TokenKind::Identifier;
-            t.text = std::move(text);
-        }
+    if (isIdentStart(c)) {
+        size_t start = pos_ - 1;
+        while (isIdentChar(peek()))
+            ++pos_;
+        std::string_view text = source_.substr(start, pos_ - start);
+        t.kind = keywordKind(text);
+        if (t.kind == TokenKind::Identifier)
+            t.text = text;
         return t;
     }
 

@@ -7,6 +7,8 @@
  *
  * Supports // line comments, C-style block comments, decimal integers,
  * double-quoted strings, and the keyword/punctuation set in token.h.
+ * Character classes are ASCII, whatever the locale. Tokens are views
+ * into the source: nothing is copied, so the source must outlive them.
  */
 
 #include <string_view>
@@ -25,23 +27,23 @@ class Lexer
      * always ends with an EndOfFile token. */
     Lexer(std::string_view source, DiagnosticEngine &diags);
 
-    /** Lex the whole buffer. */
+    /** Lex the whole buffer (so lexical diagnostics precede syntax
+     * ones). */
     std::vector<Token> lexAll();
 
   private:
     Token next();
-    char peek() const;
-    char peekAhead() const;
-    char advance();
-    bool atEnd() const;
+    /** Byte at pos_ + @p ahead, or '\0' past the end. */
+    char peek(size_t ahead = 0) const;
     void skipTrivia();
     SourceLocation here() const;
 
     std::string_view source_;
     DiagnosticEngine &diags_;
     size_t pos_ = 0;
+    /** Offset of the first byte of the current line. */
+    size_t line_start_ = 0;
     int line_ = 1;
-    int column_ = 1;
 };
 
 } // namespace mdes::hmdes

@@ -65,20 +65,32 @@ class Parser
         }
     }
 
-    std::optional<std::string> parseIdent(const char *context);
+    std::optional<std::string_view> parseIdent(const char *context);
 
-    ExprPtr parseExpr();
-    ExprPtr parseMulExpr();
-    ExprPtr parseUnaryExpr();
-    ExprPtr parsePrimaryExpr();
+    /** Append @p e to the expression pool. */
+    ExprId
+    add(const Expr &e)
+    {
+        machine_.exprs.push_back(e);
+        return ExprId(machine_.exprs.size() - 1);
+    }
+
+    // Each returns kNoExpr after reporting a syntax error.
+    ExprId parseExpr();
+    ExprId parseMulExpr();
+    ExprId parseUnaryExpr();
+    ExprId parsePrimaryExpr();
 
     std::optional<ResourceDecl> parseResource();
     std::optional<LetDecl> parseLet();
     std::optional<OrTreeDecl> parseOrTree();
     std::optional<OptionDecl> parseOption();
     bool parseOptItems(std::vector<OptItem> &items);
-    std::optional<ForDecl> parseFor();
     bool parseOrItems(std::vector<OrItem> &items);
+    /** `for v in lo .. hi { body }` (a ForDecl or UsageForDecl), the
+     * body's items parsed by @p parseBody. */
+    template <typename Loop, typename Items>
+    std::optional<Loop> parseLoop(bool (Parser::*parseBody)(Items &));
     std::optional<TableDecl> parseTable();
     std::optional<OperationDecl> parseOperation();
     std::optional<BypassDecl> parseBypass();
@@ -86,9 +98,10 @@ class Parser
     std::vector<Token> tokens_;
     DiagnosticEngine &diags_;
     size_t pos_ = 0;
+    MachineDecl machine_;
 };
 
-std::optional<std::string>
+std::optional<std::string_view>
 Parser::parseIdent(const char *context)
 {
     if (check(TokenKind::Identifier))
@@ -100,100 +113,81 @@ Parser::parseIdent(const char *context)
     return std::nullopt;
 }
 
-ExprPtr
+ExprId
 Parser::parseExpr()
 {
-    ExprPtr lhs = parseMulExpr();
-    while (lhs && (check(TokenKind::Plus) || check(TokenKind::Minus))) {
+    ExprId lhs = parseMulExpr();
+    while (lhs != kNoExpr &&
+           (check(TokenKind::Plus) || check(TokenKind::Minus))) {
         char op = check(TokenKind::Plus) ? '+' : '-';
         SourceLocation loc = advance().loc;
-        ExprPtr rhs = parseMulExpr();
-        if (!rhs)
-            return nullptr;
-        auto node = std::make_unique<Expr>();
-        node->kind = Expr::Kind::Binary;
-        node->loc = loc;
-        node->op = op;
-        node->lhs = std::move(lhs);
-        node->rhs = std::move(rhs);
-        lhs = std::move(node);
+        ExprId rhs = parseMulExpr();
+        if (rhs == kNoExpr)
+            return kNoExpr;
+        lhs = add({.kind = Expr::Kind::Binary, .op = op, .loc = loc,
+                   .lhs = lhs, .rhs = rhs});
     }
     return lhs;
 }
 
-ExprPtr
+ExprId
 Parser::parseMulExpr()
 {
-    ExprPtr lhs = parseUnaryExpr();
-    while (lhs && (check(TokenKind::Star) || check(TokenKind::Slash) ||
-                   check(TokenKind::Percent))) {
+    ExprId lhs = parseUnaryExpr();
+    while (lhs != kNoExpr &&
+           (check(TokenKind::Star) || check(TokenKind::Slash) ||
+            check(TokenKind::Percent))) {
         char op = check(TokenKind::Star)    ? '*'
                   : check(TokenKind::Slash) ? '/'
                                             : '%';
         SourceLocation loc = advance().loc;
-        ExprPtr rhs = parseUnaryExpr();
-        if (!rhs)
-            return nullptr;
-        auto node = std::make_unique<Expr>();
-        node->kind = Expr::Kind::Binary;
-        node->loc = loc;
-        node->op = op;
-        node->lhs = std::move(lhs);
-        node->rhs = std::move(rhs);
-        lhs = std::move(node);
+        ExprId rhs = parseUnaryExpr();
+        if (rhs == kNoExpr)
+            return kNoExpr;
+        lhs = add({.kind = Expr::Kind::Binary, .op = op, .loc = loc,
+                   .lhs = lhs, .rhs = rhs});
     }
     return lhs;
 }
 
-ExprPtr
+ExprId
 Parser::parseUnaryExpr()
 {
     if (check(TokenKind::Minus)) {
         SourceLocation loc = advance().loc;
-        ExprPtr operand = parseUnaryExpr();
-        if (!operand)
-            return nullptr;
-        auto node = std::make_unique<Expr>();
-        node->kind = Expr::Kind::Unary;
-        node->loc = loc;
-        node->op = '-';
-        node->lhs = std::move(operand);
-        return node;
+        ExprId operand = parseUnaryExpr();
+        if (operand == kNoExpr)
+            return kNoExpr;
+        return add({.kind = Expr::Kind::Unary, .op = '-', .loc = loc,
+                    .lhs = operand});
     }
     return parsePrimaryExpr();
 }
 
-ExprPtr
+ExprId
 Parser::parsePrimaryExpr()
 {
-    if (check(TokenKind::Integer)) {
+    if (check(TokenKind::Integer) || check(TokenKind::Identifier)) {
         const Token &t = advance();
-        auto node = std::make_unique<Expr>();
-        node->kind = Expr::Kind::IntLit;
-        node->loc = t.loc;
-        node->value = t.value;
-        return node;
-    }
-    if (check(TokenKind::Identifier)) {
-        const Token &t = advance();
-        auto node = std::make_unique<Expr>();
-        node->kind = Expr::Kind::VarRef;
-        node->loc = t.loc;
-        node->name = t.text;
-        return node;
+        return add({.kind = t.kind == TokenKind::Integer
+                                ? Expr::Kind::IntLit
+                                : Expr::Kind::VarRef,
+                    .loc = t.loc,
+                    .value = t.value,
+                    .name = t.text});
     }
     if (match(TokenKind::LParen)) {
-        ExprPtr inner = parseExpr();
-        if (!inner)
-            return nullptr;
+        ExprId inner = parseExpr();
+        if (inner == kNoExpr)
+            return kNoExpr;
         if (!expect(TokenKind::RParen, "to close parenthesized expression"))
-            return nullptr;
+            return kNoExpr;
         return inner;
     }
     std::ostringstream os;
     os << "expected expression, found " << tokenKindName(peek().kind);
     diags_.error(peek().loc, os.str());
-    return nullptr;
+    return kNoExpr;
 }
 
 std::optional<ResourceDecl>
@@ -207,7 +201,7 @@ Parser::parseResource()
     decl.name = *name;
     if (match(TokenKind::LBracket)) {
         decl.count = parseExpr();
-        if (!decl.count)
+        if (decl.count == kNoExpr)
             return std::nullopt;
         if (!expect(TokenKind::RBracket, "after resource count"))
             return std::nullopt;
@@ -229,7 +223,7 @@ Parser::parseLet()
     if (!expect(TokenKind::Equals, "in let declaration"))
         return std::nullopt;
     decl.value = parseExpr();
-    if (!decl.value)
+    if (decl.value == kNoExpr)
         return std::nullopt;
     if (!expect(TokenKind::Semicolon, "after let declaration"))
         return std::nullopt;
@@ -249,7 +243,7 @@ Parser::parseOptItems(std::vector<OptItem> &items)
             usage.resource = *res;
             if (match(TokenKind::LBracket)) {
                 usage.index = parseExpr();
-                if (!usage.index)
+                if (usage.index == kNoExpr)
                     return false;
                 if (!expect(TokenKind::RBracket, "after resource index"))
                     return false;
@@ -257,35 +251,16 @@ Parser::parseOptItems(std::vector<OptItem> &items)
             if (!expect(TokenKind::KwAt, "in usage (use R at T)"))
                 return false;
             usage.time = parseExpr();
-            if (!usage.time)
+            if (usage.time == kNoExpr)
                 return false;
             if (!expect(TokenKind::Semicolon, "after usage"))
                 return false;
             items.emplace_back(std::move(usage));
         } else if (check(TokenKind::KwFor)) {
-            UsageForDecl loop;
-            loop.loc = advance().loc; // 'for'
-            auto var = parseIdent("after 'for'");
-            if (!var)
+            auto loop = parseLoop<UsageForDecl>(&Parser::parseOptItems);
+            if (!loop)
                 return false;
-            loop.var = *var;
-            if (!expect(TokenKind::KwIn, "in for loop"))
-                return false;
-            loop.lo = parseExpr();
-            if (!loop.lo)
-                return false;
-            if (!expect(TokenKind::DotDot, "between loop bounds"))
-                return false;
-            loop.hi = parseExpr();
-            if (!loop.hi)
-                return false;
-            if (!expect(TokenKind::LBrace, "to open for-loop body"))
-                return false;
-            if (!parseOptItems(loop.body))
-                return false;
-            if (!expect(TokenKind::RBrace, "to close for-loop body"))
-                return false;
-            items.emplace_back(std::move(loop));
+            items.emplace_back(std::move(*loop));
         } else {
             diags_.error(peek().loc,
                          "expected 'use' or 'for' inside option");
@@ -309,32 +284,33 @@ Parser::parseOption()
     return decl;
 }
 
-std::optional<ForDecl>
-Parser::parseFor()
+template <typename Loop, typename Items>
+std::optional<Loop>
+Parser::parseLoop(bool (Parser::*parseBody)(Items &))
 {
-    ForDecl decl;
-    decl.loc = advance().loc; // 'for'
+    Loop loop;
+    loop.loc = advance().loc; // 'for'
     auto var = parseIdent("after 'for'");
     if (!var)
         return std::nullopt;
-    decl.var = *var;
+    loop.var = *var;
     if (!expect(TokenKind::KwIn, "in for loop"))
         return std::nullopt;
-    decl.lo = parseExpr();
-    if (!decl.lo)
+    loop.lo = parseExpr();
+    if (loop.lo == kNoExpr)
         return std::nullopt;
     if (!expect(TokenKind::DotDot, "between loop bounds"))
         return std::nullopt;
-    decl.hi = parseExpr();
-    if (!decl.hi)
+    loop.hi = parseExpr();
+    if (loop.hi == kNoExpr)
         return std::nullopt;
     if (!expect(TokenKind::LBrace, "to open for-loop body"))
         return std::nullopt;
-    if (!parseOrItems(decl.body))
+    if (!(this->*parseBody)(loop.body))
         return std::nullopt;
     if (!expect(TokenKind::RBrace, "to close for-loop body"))
         return std::nullopt;
-    return decl;
+    return loop;
 }
 
 bool
@@ -347,7 +323,7 @@ Parser::parseOrItems(std::vector<OrItem> &items)
                 return false;
             items.push_back(std::move(*opt));
         } else if (check(TokenKind::KwFor)) {
-            auto loop = parseFor();
+            auto loop = parseLoop<ForDecl>(&Parser::parseOrItems);
             if (!loop)
                 return false;
             items.push_back(std::move(*loop));
@@ -436,11 +412,11 @@ Parser::parseOperation()
             if (decl.table)
                 diags_.error(decl.table_loc,
                              "duplicate 'table' in operation '" +
-                                 decl.name + "'");
+                                 std::string(decl.name) + "'");
             decl.table = *t;
         } else if (match(TokenKind::KwLatency)) {
             decl.latency = parseExpr();
-            if (!decl.latency)
+            if (decl.latency == kNoExpr)
                 return std::nullopt;
         } else if (match(TokenKind::KwCascade)) {
             decl.cascade_loc = peek().loc;
@@ -486,7 +462,7 @@ Parser::parseBypass()
     if (!expect(TokenKind::KwLatency, "in bypass declaration"))
         return std::nullopt;
     decl.latency = parseExpr();
-    if (!decl.latency)
+    if (decl.latency == kNoExpr)
         return std::nullopt;
     if (!expect(TokenKind::Semicolon, "after bypass declaration"))
         return std::nullopt;
@@ -496,7 +472,8 @@ Parser::parseBypass()
 std::optional<MachineDecl>
 Parser::parseMachine()
 {
-    MachineDecl machine;
+    MachineDecl &machine = machine_;
+    machine.exprs.reserve(tokens_.size() / 4);
     if (!expect(TokenKind::KwMachine, "at start of description"))
         return std::nullopt;
     machine.loc = tokens_[pos_ - 1].loc;
@@ -508,45 +485,20 @@ Parser::parseMachine()
     if (!expect(TokenKind::LBrace, "to open machine body"))
         return std::nullopt;
 
+    auto add = [&machine](auto decl) {
+        if (decl)
+            machine.decls.emplace_back(std::move(*decl));
+        return decl.has_value();
+    };
     while (!check(TokenKind::RBrace) && !check(TokenKind::EndOfFile)) {
         bool ok = false;
         switch (peek().kind) {
-          case TokenKind::KwResource:
-            if (auto d = parseResource()) {
-                machine.decls.emplace_back(std::move(*d));
-                ok = true;
-            }
-            break;
-          case TokenKind::KwLet:
-            if (auto d = parseLet()) {
-                machine.decls.emplace_back(std::move(*d));
-                ok = true;
-            }
-            break;
-          case TokenKind::KwOrTree:
-            if (auto d = parseOrTree()) {
-                machine.decls.emplace_back(std::move(*d));
-                ok = true;
-            }
-            break;
-          case TokenKind::KwTable:
-            if (auto d = parseTable()) {
-                machine.decls.emplace_back(std::move(*d));
-                ok = true;
-            }
-            break;
-          case TokenKind::KwOperation:
-            if (auto d = parseOperation()) {
-                machine.decls.emplace_back(std::move(*d));
-                ok = true;
-            }
-            break;
-          case TokenKind::KwBypass:
-            if (auto d = parseBypass()) {
-                machine.decls.emplace_back(std::move(*d));
-                ok = true;
-            }
-            break;
+          case TokenKind::KwResource: ok = add(parseResource()); break;
+          case TokenKind::KwLet: ok = add(parseLet()); break;
+          case TokenKind::KwOrTree: ok = add(parseOrTree()); break;
+          case TokenKind::KwTable: ok = add(parseTable()); break;
+          case TokenKind::KwOperation: ok = add(parseOperation()); break;
+          case TokenKind::KwBypass: ok = add(parseBypass()); break;
           default:
             diags_.error(peek().loc,
                          std::string("expected a declaration, found ") +
@@ -561,7 +513,7 @@ Parser::parseMachine()
     if (!check(TokenKind::EndOfFile)) {
         diags_.error(peek().loc, "unexpected text after machine body");
     }
-    return machine;
+    return std::move(machine_);
 }
 
 } // namespace

@@ -22,7 +22,8 @@ namespace mdes::hmdes {
  * @return the AST, or std::nullopt when parsing failed badly enough that
  *         no usable machine declaration was produced. Even a returned AST
  *         may be accompanied by errors in @p diags; callers must check
- *         diags.hasErrors() before building.
+ *         diags.hasErrors() before building. The AST holds views into
+ *         @p source, which must outlive it.
  */
 std::optional<MachineDecl> parseMachine(std::string_view source,
                                         DiagnosticEngine &diags);

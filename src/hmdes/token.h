@@ -7,7 +7,7 @@
  */
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 
 #include "support/diagnostics.h"
 
@@ -62,13 +62,13 @@ enum class TokenKind {
 /** Printable name of a token kind, for diagnostics. */
 const char *tokenKindName(TokenKind kind);
 
-/** One lexed token. */
+/** One lexed token. Borrows from the lexed source, which must outlive it. */
 struct Token
 {
     TokenKind kind = TokenKind::Error;
     SourceLocation loc;
-    /** Identifier or string contents. */
-    std::string text;
+    /** Identifier or string contents (a view into the source). */
+    std::string_view text;
     /** Value for Integer tokens. */
     int64_t value = 0;
 };

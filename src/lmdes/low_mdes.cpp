@@ -210,7 +210,7 @@ LowMdes::resourceName(uint32_t r) const
 {
     if (r < resource_names_.size())
         return resource_names_[r];
-    return "r" + std::to_string(r);
+    return std::string("r").append(std::to_string(r));
 }
 
 int32_t

@@ -8,6 +8,7 @@
 #include "lmdes/image.h"
 #include "lmdes/low_mdes.h"
 #include "support/diagnostics.h"
+#include "support/fnv.h"
 
 /**
  * @file
@@ -44,17 +45,6 @@ namespace mdes::lmdes {
 namespace {
 
 std::atomic<uint64_t> g_full_deserializations{0};
-
-uint64_t
-fnv1a(const char *data, size_t n)
-{
-    uint64_t h = 1469598103934665603ull;
-    for (size_t i = 0; i < n; ++i) {
-        h ^= uint8_t(data[i]);
-        h *= 1099511628211ull;
-    }
-    return h;
-}
 
 std::string
 hex(uint64_t v)
@@ -320,7 +310,7 @@ LowMdes::save(std::ostream &os) const
     put(v7::kStringPool, pool.data(), hdr.sections[v7::kStringPool].bytes);
 
     hdr.checksum =
-        fnv1a(img.data() + sizeof(hdr), img.size() - sizeof(hdr));
+        fnv1a64(img.data() + sizeof(hdr), img.size() - sizeof(hdr));
     std::memcpy(img.data(), &hdr, sizeof(hdr));
     os.write(img.data(), std::streamsize(img.size()));
 }
@@ -355,7 +345,7 @@ LowMdes::fromImage(const void *vbase, size_t size, const ImageSource &src)
                         std::to_string(v7::kNumSections));
     if (src.verify_checksum) {
         const uint64_t computed =
-            fnv1a(base + sizeof(hdr), size - sizeof(hdr));
+            fnv1a64(base + sizeof(hdr), size - sizeof(hdr));
         if (hdr.checksum != computed)
             throw MdesError("LMDES checksum mismatch: stored " +
                             hex(hdr.checksum) + ", computed " +

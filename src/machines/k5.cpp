@@ -1,4 +1,5 @@
 #include "machines/machines.h"
+#include "support/fnv.h"
 
 /**
  * @file
@@ -165,6 +166,7 @@ makeInfo()
     MachineInfo info;
     info.name = "K5";
     info.source = kSource;
+    info.source_hash = fnv1a64(kSource);
 
     workload::WorkloadSpec &w = info.workload;
     w.seed = 0xAD051996; // deterministic stream seed

@@ -19,6 +19,7 @@
  * machine-description tests assert this.
  */
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -32,6 +33,10 @@ struct MachineInfo
     std::string name;
     /** High-level MDES source text. */
     const char *source = nullptr;
+    /** fnv1a64(source), computed once with the registry: artifact keys
+     * continue from it (store::artifactKeyFromSourceHash) instead of
+     * rehashing the source on every request. */
+    uint64_t source_hash = 0;
     /** Synthetic workload tuned to the paper's published mix. */
     workload::WorkloadSpec workload;
 };

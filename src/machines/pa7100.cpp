@@ -1,4 +1,5 @@
 #include "machines/machines.h"
+#include "support/fnv.h"
 
 /**
  * @file
@@ -108,6 +109,7 @@ makeInfo()
     MachineInfo info;
     info.name = "PA7100";
     info.source = kSource;
+    info.source_hash = fnv1a64(kSource);
 
     workload::WorkloadSpec &w = info.workload;
     w.seed = 0x7A711996;

@@ -1,4 +1,5 @@
 #include "machines/machines.h"
+#include "support/fnv.h"
 
 /**
  * @file
@@ -99,6 +100,7 @@ makeInfo()
     MachineInfo info;
     info.name = "PA8000";
     info.source = kSource;
+    info.source_hash = fnv1a64(kSource);
 
     workload::WorkloadSpec &w = info.workload;
     w.seed = 0x8A001996;

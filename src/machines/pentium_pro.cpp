@@ -1,4 +1,5 @@
 #include "machines/machines.h"
+#include "support/fnv.h"
 
 /**
  * @file
@@ -123,6 +124,7 @@ makeInfo()
     MachineInfo info;
     info.name = "PentiumPro";
     info.source = kSource;
+    info.source_hash = fnv1a64(kSource);
 
     workload::WorkloadSpec &w = info.workload;
     w.seed = 0x6A1996;

@@ -1,4 +1,5 @@
 #include "machines/machines.h"
+#include "support/fnv.h"
 
 /**
  * @file
@@ -158,6 +159,7 @@ makeInfo()
     MachineInfo info;
     info.name = "SuperSPARC";
     info.source = kSource;
+    info.source_hash = fnv1a64(kSource);
 
     workload::WorkloadSpec &w = info.workload;
     w.seed = 0x55AA1996;

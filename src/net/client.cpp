@@ -68,8 +68,8 @@ routeKey(const service::ScheduleRequest &req)
     const machines::MachineInfo *info = machines::byName(req.machine);
     if (!info)
         return 0;
-    return store::artifactKey(info->source, req.transforms,
-                              req.bit_vector);
+    return store::artifactKeyFromSourceHash(info->source_hash,
+                                            req.transforms, req.bit_vector);
 }
 
 BlockingClient::BlockingClient(const std::string &host, uint16_t port,

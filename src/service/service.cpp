@@ -426,8 +426,12 @@ MdesService::process(Job &job, ServiceMetrics &metrics,
         };
         Clock::time_point t = Clock::now();
         try {
-            DescriptionCache::Key key = DescriptionCache::makeKey(
-                source, req.transforms, req.bit_vector);
+            DescriptionCache::Key key =
+                builtin ? store::artifactKeyFromSourceHash(
+                              builtin->source_hash, req.transforms,
+                              req.bit_vector)
+                        : DescriptionCache::makeKey(
+                              source, req.transforms, req.bit_vector);
             DescriptionCache::Lookup lookup;
             resp.low = cache_.getOrCompile(
                 key,

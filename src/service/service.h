@@ -197,7 +197,8 @@ struct ScheduleResponse
  */
 uint64_t scheduleFingerprint(const ScheduleResponse &response);
 
-/** Service construction parameters. */
+/** Service construction parameters. Every member has an initializer,
+ * so a designated-initializer literal may name any subset. */
 struct ServiceConfig
 {
     /** Worker threads (0 = hardware_concurrency, at least 1). */
@@ -210,7 +211,7 @@ struct ServiceConfig
      * across service instances and process restarts. Created if
      * absent; the constructor throws MdesError when it cannot be.
      */
-    std::string store_dir;
+    std::string store_dir = {};
     /** Disk-store size budget in bytes (0 = unbounded); publishes over
      * budget trigger an LRU eviction sweep. */
     uint64_t store_max_bytes = 0;

@@ -20,6 +20,7 @@
 #include "lmdes/image.h"
 #include "support/diagnostics.h"
 #include "support/faultsim.h"
+#include "support/fnv.h"
 #include "support/json.h"
 #include "support/rng.h"
 #include "support/trace.h"
@@ -48,23 +49,10 @@ constexpr size_t kTrailerBytes = 8;
 /** Header strings (creator, machine) are short labels, not payloads. */
 constexpr uint32_t kMaxHeaderString = 4096;
 
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-void
-fnvBytes(uint64_t &h, const void *data, size_t n)
-{
-    const auto *p = static_cast<const unsigned char *>(data);
-    for (size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= kFnvPrime;
-    }
-}
-
 void
 fnvByte(uint64_t &h, unsigned char b)
 {
-    fnvBytes(h, &b, 1);
+    h = fnv1a64(&b, 1, h);
 }
 
 std::string
@@ -251,11 +239,17 @@ uint64_t
 artifactKey(std::string_view source, const PipelineConfig &transforms,
             bool bit_vector, exp::Rep rep)
 {
-    uint64_t h = kFnvOffset;
-    fnvBytes(h, source.data(), source.size());
+    return artifactKeyFromSourceHash(fnv1a64(source), transforms,
+                                     bit_vector, rep);
+}
+
+uint64_t
+artifactKeyFromSourceHash(uint64_t source_hash,
+                          const PipelineConfig &transforms, bool bit_vector,
+                          exp::Rep rep)
+{
     uint64_t fp = configFingerprint(transforms, bit_vector, rep);
-    fnvBytes(h, &fp, sizeof(fp));
-    return h;
+    return fnv1a64(&fp, sizeof(fp), source_hash);
 }
 
 std::string
@@ -414,8 +408,7 @@ ArtifactStore::parseArtifact(const char *data, size_t size, uint64_t key,
         return LoadOutcome::Corrupt;
     uint64_t stored_sum = 0;
     std::memcpy(&stored_sum, data + size - kTrailerBytes, kTrailerBytes);
-    uint64_t sum = kFnvOffset;
-    fnvBytes(sum, data, size - kTrailerBytes);
+    uint64_t sum = fnv1a64(data, size - kTrailerBytes);
     if (sum != stored_sum)
         return LoadOutcome::Corrupt;
     const size_t body_size = size - kTrailerBytes;
@@ -638,8 +631,7 @@ ArtifactStore::storeOnce(uint64_t key, const lmdes::LowMdes &low,
             body.write(zeros, std::streamsize(img_off - header_end));
             low.save(body);
             const std::string payload = body.str();
-            uint64_t sum = kFnvOffset;
-            fnvBytes(sum, payload.data(), payload.size());
+            uint64_t sum = fnv1a64(payload.data(), payload.size());
             out.write(payload.data(),
                       std::streamsize(payload.size()));
             writeU64(out, sum);

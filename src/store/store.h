@@ -95,6 +95,16 @@ uint64_t artifactKey(std::string_view source,
                      const PipelineConfig &transforms, bool bit_vector,
                      exp::Rep rep = exp::Rep::AndOrTree);
 
+/**
+ * artifactKey() continued from @p source_hash, the FNV-1a state after
+ * the source bytes (fnv1a64(source), e.g. a built-in machine's
+ * MachineInfo::source_hash): the same key without rehashing the source.
+ */
+uint64_t artifactKeyFromSourceHash(uint64_t source_hash,
+                                   const PipelineConfig &transforms,
+                                   bool bit_vector,
+                                   exp::Rep rep = exp::Rep::AndOrTree);
+
 /** "<16 hex digits>.lmdes" — the artifact file name for @p key. */
 std::string artifactFileName(uint64_t key);
 
@@ -178,11 +188,12 @@ struct RetryPolicy
     uint32_t max_delay_us = 20000;
 };
 
-/** Store construction parameters. */
+/** Store construction parameters. Every member has an initializer, so
+ * a designated-initializer literal may name any subset. */
 struct StoreConfig
 {
     /** Store directory (created on construction if absent). */
-    std::string dir;
+    std::string dir = {};
     /**
      * Size budget in bytes; every publish that pushes the store over
      * the budget triggers an LRU eviction sweep. 0 = unbounded (sweep
@@ -192,7 +203,7 @@ struct StoreConfig
     /** Recorded in each artifact's creation metadata. */
     std::string creator = "mdes";
     /** Backoff schedule for transient I/O failures. */
-    RetryPolicy retry;
+    RetryPolicy retry = {};
 };
 
 /** The persistent content-addressed artifact store. */

@@ -232,7 +232,7 @@ class JsonParser
     literal(std::string_view word)
     {
         if (text_.substr(pos_, word.size()) != word)
-            failHere("'" + std::string(word) + "'");
+            failHere(std::string("'").append(word).append("'"));
         pos_ += word.size();
     }
 

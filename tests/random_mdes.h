@@ -49,11 +49,20 @@ struct RandomMdesOptions
     bool inject_duplicates = true;
 };
 
+/** "<prefix><n>". Built by appending: `"R" + std::to_string(c)` trips a
+ * libstdc++ -Wrestrict false positive at -O3. */
+inline std::string
+numbered(std::string prefix, uint64_t n)
+{
+    prefix += std::to_string(n);
+    return prefix;
+}
+
 /** Generate a random but valid machine description. */
 inline Mdes
 randomMdes(Rng &rng, const RandomMdesOptions &opts = {})
 {
-    Mdes m("fuzz-" + std::to_string(rng.next() % 100000));
+    Mdes m(numbered("fuzz-", rng.next() % 100000));
 
     int num_classes =
         int(rng.range(opts.min_classes, opts.max_classes));
@@ -63,7 +72,7 @@ randomMdes(Rng &rng, const RandomMdesOptions &opts = {})
         uint32_t count =
             uint32_t(rng.range(opts.min_count, opts.max_count));
         class_first.push_back(
-            m.addResourceClass("R" + std::to_string(c), count));
+            m.addResourceClass(numbered("R", uint64_t(c)), count));
         class_count.push_back(count);
     }
 
@@ -109,7 +118,7 @@ randomMdes(Rng &rng, const RandomMdesOptions &opts = {})
             int(rng.range(opts.min_subtrees, opts.max_subtrees));
         subtrees = std::min(subtrees, num_classes);
         AndOrTree tree;
-        tree.name = "T" + std::to_string(t);
+        tree.name = numbered("T", uint64_t(t));
 
         if (opts.disjoint_subtrees) {
             // Partition a shuffled class list across the subtrees.
@@ -123,8 +132,8 @@ randomMdes(Rng &rng, const RandomMdesOptions &opts = {})
                 for (int c = s; c < num_classes; c += subtrees)
                     mine.push_back(order[c]);
                 tree.or_trees.push_back(make_or_tree(
-                    mine, "O" + std::to_string(t) + "_" +
-                              std::to_string(s)));
+                    mine, numbered(numbered("O", uint64_t(t)) + "_",
+                                   uint64_t(s))));
             }
         } else {
             std::vector<int> all_classes(num_classes);
@@ -132,8 +141,8 @@ randomMdes(Rng &rng, const RandomMdesOptions &opts = {})
                 all_classes[c] = c;
             for (int s = 0; s < subtrees; ++s) {
                 tree.or_trees.push_back(make_or_tree(
-                    all_classes, "O" + std::to_string(t) + "_" +
-                                     std::to_string(s)));
+                    all_classes,
+                    numbered(numbered("O", uint64_t(t)) + "_", uint64_t(s))));
             }
         }
         tables.push_back(m.addTree(std::move(tree)));
@@ -141,7 +150,7 @@ randomMdes(Rng &rng, const RandomMdesOptions &opts = {})
 
     for (int o = 0; o < num_ops; ++o) {
         OperationClass oc;
-        oc.name = "OP" + std::to_string(o);
+        oc.name = numbered("OP", uint64_t(o));
         oc.tree = tables[rng.below(tables.size())];
         oc.latency = int(rng.range(1, 4));
         m.addOpClass(std::move(oc));

@@ -6,10 +6,21 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
+#include "core/transforms.h"
 #include "hmdes/compile.h"
 #include "hmdes/lexer.h"
 #include "hmdes/parser.h"
+#include "lmdes/low_mdes.h"
 #include "machines/machines.h"
+#include "support/fnv.h"
+#include "support/rng.h"
+
+#ifndef MDES_SOURCE_DIR
+#define MDES_SOURCE_DIR "."
+#endif
 
 namespace mdes {
 namespace {
@@ -42,6 +53,43 @@ TEST(Lexer, BasicTokens)
     EXPECT_EQ(tokens[6].kind, TokenKind::Integer);
     EXPECT_EQ(tokens[6].value, 3);
     EXPECT_EQ(tokens.back().kind, TokenKind::EndOfFile);
+}
+
+TEST(Lexer, KeywordsAndNearMisses)
+{
+    const std::pair<const char *, TokenKind> keywords[] = {
+        {"machine", TokenKind::KwMachine},
+        {"resource", TokenKind::KwResource},
+        {"let", TokenKind::KwLet},
+        {"ortree", TokenKind::KwOrTree},
+        {"for", TokenKind::KwFor},
+        {"in", TokenKind::KwIn},
+        {"option", TokenKind::KwOption},
+        {"use", TokenKind::KwUse},
+        {"at", TokenKind::KwAt},
+        {"table", TokenKind::KwTable},
+        {"and", TokenKind::KwAnd},
+        {"operation", TokenKind::KwOperation},
+        {"latency", TokenKind::KwLatency},
+        {"cascade", TokenKind::KwCascade},
+        {"note", TokenKind::KwNote},
+        {"bypass", TokenKind::KwBypass},
+    };
+    for (const auto &[spelling, kind] : keywords) {
+        DiagnosticEngine diags;
+        auto tokens = lex(spelling, diags);
+        EXPECT_EQ(tokens[0].kind, kind) << spelling;
+        EXPECT_TRUE(tokens[0].text.empty()) << spelling;
+    }
+    // Prefixes, extensions and case variants are identifiers.
+    for (const char *name : {"o", "or", "op", "opt", "ortrees", "operations",
+                             "a", "an", "ats", "l", "lets", "Machine", "IN",
+                             "_for", "use1", "latenc"}) {
+        DiagnosticEngine diags;
+        auto tokens = lex(name, diags);
+        EXPECT_EQ(tokens[0].kind, TokenKind::Identifier) << name;
+        EXPECT_EQ(tokens[0].text, name);
+    }
 }
 
 TEST(Lexer, CommentsAreSkipped)
@@ -251,6 +299,38 @@ TEST(Compile, EmptyLoopRangeYieldsNothing)
     EXPECT_EQ(m->orTree(0).options.size(), 1u);
 }
 
+TEST(Compile, LoopEndingAtInt64MaxTerminates)
+{
+    // The last iteration must not step the loop variable past
+    // INT64_MAX (which wrapped and looped forever).
+    DiagnosticEngine diags;
+    auto m = hmdes::compile(wrap(R"(
+        let M = 1000000000 * 1000000000 * 9 + 223372036 * 1000000000
+                + 854775807;
+        resource R;
+        ortree O { option { use R at 0; } for i in M - 1 .. M { } }
+        table T = O;
+        operation X { table T; }
+    )"),
+                            diags);
+    ASSERT_TRUE(m.has_value()) << diags.toString();
+    EXPECT_EQ(m->orTree(0).options.size(), 1u);
+}
+
+TEST(Compile, OverflowIsLocatedAtTheOperator)
+{
+    DiagnosticEngine diags;
+    auto m = hmdes::compile(wrap("let A = 1000000000 * 1000000000;\n"
+                                 "let B = A * 10;"),
+                            diags);
+    EXPECT_FALSE(m.has_value());
+    ASSERT_FALSE(diags.diagnostics().empty());
+    const Diagnostic &d = diags.diagnostics()[0];
+    EXPECT_EQ(d.message, "constant expression overflows");
+    EXPECT_EQ(d.loc.line, 3);
+    EXPECT_EQ(d.loc.column, 11);
+}
+
 TEST(Compile, AndTableComposesOrTrees)
 {
     auto m = hmdes::compileOrThrow(wrap(R"(
@@ -380,6 +460,34 @@ const BadCase kBadCases[] = {
      "let N = 1 / 0; resource R; ortree O { option { use R at 0; } } "
      "table T = O; operation X { table T; }",
      "division by zero"},
+    // The three expressions below each killed or miscompiled the
+    // process before constant arithmetic was checked: INT64_MIN / -1 and
+    // INT64_MIN % -1 trap (SIGFPE), INT64_MIN * 3 wraps silently.
+    {"quotient_overflow",
+     "let A = (0 - 536870912*536870912*16) * 2; let B = A / (0-1); "
+     "resource R; ortree O { option { use R at 0; } } table T = O; "
+     "operation X { table T; }",
+     "constant expression overflows"},
+    {"remainder_overflow",
+     "let A = (0 - 536870912*536870912*16) * 2; let B = A % (0-1); "
+     "resource R; ortree O { option { use R at 0; } } table T = O; "
+     "operation X { table T; }",
+     "constant expression overflows"},
+    {"product_overflow",
+     "let A = (0 - 536870912*536870912*16) * 2; let B = A * 3; "
+     "resource R; ortree O { option { use R at 0; } } table T = O; "
+     "operation X { table T; }",
+     "constant expression overflows"},
+    {"negation_overflow",
+     "let A = (0 - 536870912*536870912*16) * 2; let B = -A; "
+     "resource R; ortree O { option { use R at 0; } } table T = O; "
+     "operation X { table T; }",
+     "constant expression overflows"},
+    {"huge_loop_range",
+     "let H = 536870912*536870912*16; resource R; "
+     "ortree O { for i in 0 - H .. H { option { use R at 0; } } } "
+     "table T = O; operation X { table T; }",
+     "loop trip count too large"},
     {"loop_shadowing",
      "let i = 1; resource R[2]; "
      "ortree O { for i in 0 .. 1 { option { use R[i] at 0; } } } "
@@ -484,6 +592,91 @@ TEST(CompileErrorsExtra, TrailingGarbageRejected)
                    "extra",
                    diags);
     EXPECT_TRUE(diags.hasErrors());
+}
+
+// ------------------------------------------------- Front-end equivalence
+
+/** Every built-in source, the on-disk example, and 200 fixed-seed
+ * mutations of each built-in source (the LexerAndParserNeverCrash
+ * scheme: byte flips, deletions, punctuation-run insertions). */
+std::vector<std::string>
+equivalenceCorpus()
+{
+    std::vector<const machines::MachineInfo *> infos = machines::all();
+    for (const auto *info : machines::extensions())
+        infos.push_back(info);
+    std::vector<std::string> texts;
+    for (const auto *info : infos)
+        texts.emplace_back(info->source);
+    std::ifstream in(std::string(MDES_SOURCE_DIR) +
+                     "/descriptions/blackbird_vliw.hmdes");
+    std::ostringstream file;
+    file << in.rdbuf();
+    texts.push_back(file.str());
+    for (size_t m = 0; m < infos.size(); ++m) {
+        Rng rng(0xF0225 + m);
+        for (int trial = 0; trial < 200; ++trial) {
+            std::string text = infos[m]->source;
+            int edits = int(rng.range(1, 8));
+            for (int e = 0; e < edits; ++e) {
+                size_t pos = rng.below(text.size());
+                switch (rng.below(3)) {
+                  case 0:
+                    text[pos] = char(rng.below(256));
+                    break;
+                  case 1:
+                    text.erase(pos, rng.below(20) + 1);
+                    break;
+                  default:
+                    text.insert(pos, "{;]..//*");
+                    break;
+                }
+            }
+            texts.push_back(std::move(text));
+        }
+    }
+    return texts;
+}
+
+/** Fold @p bytes and a 0xFF separator into @p h, so field boundaries
+ * feed the digest too. */
+void
+fnvMix(uint64_t &h, std::string_view bytes)
+{
+    h = fnv1a64("\xff", 1, fnv1a64(bytes, h));
+}
+
+TEST(FrontEndEquivalence, DigestMatchesTheReferenceFrontEnd)
+{
+    // Pinned from the std::string/std::map front end this one replaced:
+    // rendered diagnostics of every text, plus the v7 image of every
+    // text that compiles (lowered with no transforms). Any change in an
+    // accepted description, a message, its order or its location moves
+    // the digest.
+    constexpr uint64_t kDigest = 0xf851869f6bf758b3ull;
+    constexpr size_t kCompiled = 70;
+    constexpr size_t kFailed = 1137;
+
+    uint64_t h = kFnvOffset;
+    size_t compiled = 0, failed = 0;
+    for (const std::string &text : equivalenceCorpus()) {
+        DiagnosticEngine diags;
+        auto m = hmdes::compile(text, diags);
+        fnvMix(h, diags.toString());
+        if (!m) {
+            ++failed;
+            continue;
+        }
+        ++compiled;
+        runPipeline(*m, PipelineConfig::none());
+        std::ostringstream image;
+        lmdes::LowMdes::lower(*m).save(image);
+        fnvMix(h, image.str());
+    }
+    EXPECT_EQ(compiled + failed, 7u + 6u * 200u);
+    EXPECT_EQ(compiled, kCompiled);
+    EXPECT_EQ(failed, kFailed);
+    EXPECT_EQ(h, kDigest) << std::hex << "digest 0x" << h;
 }
 
 } // namespace

@@ -114,8 +114,9 @@ TEST(LoopDepGraph, IndependentIterationsHaveNoCarriedRaw)
     body.instrs = {instr(ADD, {1, 2}, {3}), instr(ADD, {3, 4}, {5})};
     LoopDepGraph g = LoopDepGraph::build(body, low);
     for (const auto &e : g.edges()) {
-        if (e.omega == 1)
+        if (e.omega == 1) {
             EXPECT_LE(e.latency, 1); // WAR/WAW bookkeeping only
+        }
     }
 }
 

@@ -114,10 +114,12 @@ TEST(DepGraph, CascadeRelaxOnlyForSingleCycleProducers)
     };
     DepGraph g = DepGraph::build(b, low);
     for (const auto &e : g.edges()) {
-        if (e.pred == 0 && e.succ == 1)
+        if (e.pred == 0 && e.succ == 1) {
             EXPECT_TRUE(e.cascade_relax);
-        if (e.pred == 2 && e.succ == 3)
+        }
+        if (e.pred == 2 && e.succ == 3) {
             EXPECT_FALSE(e.cascade_relax);
+        }
     }
 }
 

@@ -20,6 +20,7 @@
 #include <unistd.h>
 
 #include "lmdes/image.h"
+#include "machines/machines.h"
 #include "random_mdes.h"
 #include "service/cache.h"
 #include "service/service.h"
@@ -131,6 +132,37 @@ TEST(StoreKey, StableAndInputSensitive)
     PipelineConfig backward = PipelineConfig::all();
     backward.direction = SchedDirection::Backward;
     EXPECT_NE(base, store::artifactKey(source, backward, true));
+}
+
+TEST(Store, BuiltInSourceHashContinuesToTheSameKey)
+{
+    // Requests for built-in machines key from the FNV state saved with
+    // the registry. The keys must stay bit-identical to hashing source
+    // then config fingerprint in one pass, or every artifact already in
+    // a disk tier would be orphaned.
+    std::vector<const machines::MachineInfo *> infos = machines::all();
+    for (const auto *info : machines::extensions())
+        infos.push_back(info);
+    ASSERT_EQ(infos.size(), 6u);
+    for (const auto *info : infos) {
+        for (const PipelineConfig &cfg :
+             {PipelineConfig::none(), PipelineConfig::all()}) {
+            for (bool bit_vector : {false, true}) {
+                uint64_t fp = store::configFingerprint(cfg, bit_vector);
+                std::string bytes(info->source);
+                bytes.append(reinterpret_cast<const char *>(&fp),
+                             sizeof(fp));
+                uint64_t one_pass = storeFnv1a64(bytes.data(), bytes.size());
+                EXPECT_EQ(store::artifactKey(info->source, cfg, bit_vector),
+                          one_pass)
+                    << info->name;
+                EXPECT_EQ(store::artifactKeyFromSourceHash(
+                              info->source_hash, cfg, bit_vector),
+                          one_pass)
+                    << info->name;
+            }
+        }
+    }
 }
 
 TEST(Store, PublishIsAtomicAndRoundTrips)

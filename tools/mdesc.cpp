@@ -1595,8 +1595,8 @@ cmdStoreWarm(const std::string &dir,
     table.setHeader({"Machine", "Key", "Result"});
     int failures = 0;
     for (const auto *m : targets) {
-        uint64_t key =
-            mdes::store::artifactKey(m->source, config, bit_vector);
+        uint64_t key = mdes::store::artifactKeyFromSourceHash(
+            m->source_hash, config, bit_vector);
         const char *result;
         if (st.load(key)) {
             result = "already warm";
