@@ -10,14 +10,15 @@
  * the search proves optimal, the average optimality gap of the rest,
  * and the total-cycle improvement the exact schedules buy.
  *
- * `--json PATH` records, per machine, a `proven_rate` entry over the
- * blocks of <= 12 operations (gated by a sanity band in the committed
- * baseline: the search must keep proving >= 80% of them; the K5's
- * standard workload also has 13-22-op blocks, reported separately) and
- * a `len_ratio` entry (exact total cycles / list total cycles; <= 1 by
- * construction since the incumbent is never discarded). Both carry the
- * *list* scheduler's fingerprint, so the perf gate also pins the
- * baseline workload and list behavior bit-for-bit.
+ * Per machine, two values must stay inside the bands pinned in
+ * bench/baseline_perf.json, or the bench exits non-zero:
+ * exact/<machine>/proven_rate over the blocks of <= 12 operations (the
+ * search must keep proving >= 80% of them; the K5's standard workload
+ * also has 13-22-op blocks, reported separately) and
+ * exact/<machine>/len_ratio (exact total cycles / list total cycles;
+ * <= 1 by construction since the incumbent is never discarded). Both
+ * entries also pin the *list* scheduler's fingerprint of this workload,
+ * which test_pinned recomputes.
  */
 
 #include <cstdio>
@@ -27,16 +28,16 @@
 #include "core/transforms.h"
 #include "exact/exact_scheduler.h"
 #include "hmdes/compile.h"
-#include "perf_json.h"
 #include "workload/workload.h"
 
 int
-main(int argc, char **argv)
+main()
 {
     using namespace mdes;
     using namespace mdes::bench;
 
-    std::string json_path = perfjson::stripJsonFlag(argc, argv);
+    const std::vector<Pin> pins = loadPins();
+    bool ok = true;
 
     printHeader("exact scheduler (branch and bound)",
                 "proven-optimal rate and schedule-length improvement "
@@ -64,14 +65,11 @@ main(int argc, char **argv)
         sched::SchedStats list_stats;
         std::vector<sched::BlockSchedule> list_scheds =
             list.scheduleProgram(program, list_stats);
-        uint64_t list_fp = scheduleFingerprint(list_scheds);
 
         exact::ExactScheduler search(low);
         uint64_t proven = 0, improved = 0, nodes = 0, gap_cycles = 0;
         uint64_t list_total = 0, exact_total = 0;
         uint64_t small = 0, small_proven = 0;
-        perfjson::Stopwatch watch;
-        watch.start();
         for (size_t b = 0; b < program.blocks.size(); ++b) {
             sched::SchedStats stats;
             exact::ExactOptions opts;
@@ -90,7 +88,6 @@ main(int argc, char **argv)
                 small_proven += er.proven_optimal ? 1 : 0;
             }
         }
-        watch.stop();
 
         size_t blocks = program.blocks.size();
         double rate = blocks ? double(proven) / double(blocks) : 1.0;
@@ -115,15 +112,9 @@ main(int argc, char **argv)
             std::to_string(blocks ? nodes / blocks : 0),
         });
 
-        double secs = watch.totalSec();
-        perfjson::record({std::string("exact/") + name + "/proven_rate",
-                          watch.avgMs(),
-                          secs > 0 ? double(blocks) / secs : 0,
-                          small_rate, list_fp});
-        perfjson::record({std::string("exact/") + name + "/len_ratio",
-                          watch.avgMs(),
-                          secs > 0 ? double(blocks) / secs : 0,
-                          len_ratio, list_fp});
+        std::string pin = std::string("exact/") + name;
+        ok &= inPinnedBand(pins, pin + "/proven_rate", small_rate);
+        ok &= inPinnedBand(pins, pin + "/len_ratio", len_ratio);
     }
     std::printf("%s", table.toString().c_str());
     std::printf(
@@ -135,11 +126,5 @@ main(int argc, char **argv)
         "the pruning, and wouldFit() probing sharpens earliest starts\n"
         "without touching the RU map.\n");
     printFootnote();
-
-    if (!json_path.empty()
-        && !perfjson::write(json_path, "exact_scheduler", "exact_rate")) {
-        std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-        return 1;
-    }
-    return 0;
+    return ok ? 0 : 1;
 }

@@ -8,18 +8,18 @@
  * persistent connections against a two-worker server. Every response's
  * schedule fingerprint must equal the in-process run of the same
  * request - the socket tier is a transport, never a second scheduler -
- * and nothing may shed. The JSON entry's fingerprint hashes the
- * in-process fingerprints of the mix, so the perf gate
- * (scripts/compare_perf.py) catches any behavior change riding in on a
+ * and nothing may shed (the pinned band [0, 0] of
+ * net/loopback/sustained). test_pinned pins the in-process
+ * fingerprints of the mix, so no behavior change rides in on a
  * throughput win.
  *
  * Overload: a burst of distinct-artifact requests against one worker
  * with a tiny admission queue and faultsim-stalled compiles. Every
  * burst request must come back typed - Ok or Overloaded, nothing else,
- * no hangs, no silent drops - and the shed rate must land in the
- * committed sanity band (the gate's "band" check): too low means the
- * queue bound is not biting, too high means the server starved
- * accepted work.
+ * no hangs, no silent drops - and the shed rate must land in the band
+ * pinned for net/loopback/overload in bench/baseline_perf.json: too
+ * low means the queue bound is not biting, too high means the server
+ * starved accepted work.
  */
 
 #include <atomic>
@@ -32,7 +32,6 @@
 #include "bench_util.h"
 #include "net/client.h"
 #include "net/server.h"
-#include "perf_json.h"
 #include "service/request_parse.h"
 #include "service/service.h"
 #include "support/faultsim.h"
@@ -80,12 +79,12 @@ overloadBurst(unsigned n)
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     using namespace mdes;
     using namespace mdes::bench;
 
-    std::string json_path = perfjson::stripJsonFlag(argc, argv);
+    const std::vector<Pin> pins = loadPins();
 
     printHeader("net throughput",
                 "loopback socket serving: sustained requests/sec and "
@@ -101,7 +100,7 @@ main(int argc, char **argv)
         routes.push_back(net::routeKey(r));
     }
 
-    // In-process ground truth (and the gate's behavior fingerprint).
+    // In-process ground truth.
     std::vector<uint64_t> want;
     {
         service::ServiceConfig cfg;
@@ -116,10 +115,6 @@ main(int argc, char **argv)
             want.push_back(service::scheduleFingerprint(resp));
         }
     }
-    uint64_t mix_fingerprint = perfjson::fnvInit();
-    for (uint64_t f : want)
-        perfjson::fnvMix(mix_fingerprint, f);
-
     constexpr unsigned kClients = 3;
     constexpr unsigned kRoundsPerClient = 24;
 
@@ -190,7 +185,9 @@ main(int argc, char **argv)
                      (unsigned long long)mismatches.load());
         return 1;
     }
-    if (sm.requests_shed != 0 || !sm.shedConsistent()) {
+    if (!inPinnedBand(pins, "net/loopback/sustained",
+                      double(sm.requests_shed) / double(total)) ||
+        !sm.shedConsistent()) {
         std::fprintf(stderr, "FAIL: sustained run shed %llu request(s)\n",
                      (unsigned long long)sm.requests_shed);
         return 1;
@@ -198,10 +195,6 @@ main(int argc, char **argv)
     std::printf("\nall %llu socket responses bit-identical to the "
                 "in-process run; zero shed.\n",
                 (unsigned long long)total);
-
-    perfjson::record({"net/loopback/sustained", secs * 1e3 / total,
-                      double(total) / secs, /*shed_rate=*/0.0,
-                      mix_fingerprint});
 
     // --- Overload: the shed-rate curve under a stalled backend ---
 
@@ -289,16 +282,7 @@ main(int argc, char **argv)
     std::printf("\nevery burst request returned a typed outcome "
                 "(Ok or Overloaded); shed counters consistent.\n");
 
-    // The overload entry's fingerprint is pinned to 0: which requests
-    // get shed is timing-dependent, so only the shed-rate band gates.
-    perfjson::record({"net/loopback/overload",
-                      burst_secs * 1e3 / kBurst,
-                      double(kBurst) / burst_secs, shed_rate, 0});
-
-    if (!json_path.empty() &&
-        !perfjson::write(json_path, "net_throughput", "shed_rate")) {
-        std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-        return 1;
-    }
-    return 0;
+    // Which requests get shed is timing-dependent, so only the
+    // shed-rate band gates the overload run.
+    return inPinnedBand(pins, "net/loopback/overload", shed_rate) ? 0 : 1;
 }

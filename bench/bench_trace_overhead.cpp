@@ -1,8 +1,8 @@
 /**
  * @file
  * Enforces mdes::trace's overhead budget on the scheduler hot loop:
- * with tracing *disabled*, a full list-scheduling run of
- * bench_perf_scheduler's workload (SuperSPARC, fully optimized AND/OR
+ * with tracing *disabled*, a full list-scheduling run of the pinned
+ * schedule/SuperSPARC/andor/full workload (fully optimized AND/OR
  * description, 20k ops) must cost within 1% of the same run before
  * tracing was ever enabled - the probe hooks reduce to one relaxed
  * atomic load per block and per-span scope.

@@ -1,7 +1,12 @@
 #include "bench_util.h"
 
 #include <cstdio>
+#include <fstream>
 #include <map>
+#include <sstream>
+
+#include "support/diagnostics.h"
+#include "support/json.h"
 
 namespace mdes::bench {
 
@@ -18,25 +23,68 @@ stageName(Stage stage)
     return "?";
 }
 
-uint64_t
-scheduleFingerprint(const std::vector<sched::BlockSchedule> &schedules)
+std::vector<Pin>
+parsePins(std::string_view json)
 {
-    // FNV-1a, mixed bytewise for endian/width stability.
-    auto mix = [](uint64_t &h, uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (i * 8)) & 0xff;
-            h *= 1099511628211ull;
+    JsonValue doc = parseJson(json);
+    const JsonValue *results = doc.find("results");
+    if (!results || results->kind != JsonValue::Kind::Array)
+        throw MdesError("baseline has no results[] array");
+    std::vector<Pin> pins;
+    for (const JsonValue &entry : results->array) {
+        Pin pin;
+        for (const auto &[key, v] : entry.object) {
+            if (key == "name") {
+                pin.name = v.string;
+            } else if (key == "fingerprint") {
+                pin.fingerprint = v.string;
+            } else if (key == "band" && v.array.size() == 2) {
+                pin.band.emplace(v.array[0].number, v.array[1].number);
+            } else if (v.kind == JsonValue::Kind::Number &&
+                       pin.metric.empty()) {
+                pin.metric = key;
+                pin.value = v.number;
+            } else {
+                throw MdesError("baseline entry '" + pin.name +
+                                "': unexpected member '" + key + "'");
+            }
         }
-    };
-    uint64_t h = 1469598103934665603ull;
-    for (const auto &s : schedules) {
-        mix(h, uint64_t(s.length));
-        for (int32_t c : s.cycles)
-            mix(h, uint64_t(uint32_t(c)));
-        for (uint8_t u : s.used_cascade)
-            mix(h, u);
+        if (pin.name.empty() || pin.metric.empty())
+            throw MdesError("baseline entry '" + pin.name +
+                            "' lacks a name or a metric");
+        pins.push_back(std::move(pin));
     }
-    return h;
+    return pins;
+}
+
+std::vector<Pin>
+loadPins()
+{
+    std::ifstream in(MDES_BASELINE_PERF);
+    std::ostringstream text;
+    text << in.rdbuf();
+    if (!in)
+        throw MdesError("cannot read " MDES_BASELINE_PERF);
+    return parsePins(text.str());
+}
+
+bool
+inPinnedBand(const std::vector<Pin> &pins, std::string_view name,
+             double value)
+{
+    for (const Pin &pin : pins) {
+        if (pin.name != name || !pin.band)
+            continue;
+        auto [lo, hi] = *pin.band;
+        bool ok = lo <= value && value <= hi;
+        std::printf("%s %s %s %.4f (band [%.4f, %.4f])\n",
+                    ok ? "ok  " : "FAIL", pin.name.c_str(),
+                    pin.metric.c_str(), value, lo, hi);
+        return ok;
+    }
+    std::printf("FAIL %.*s: no banded entry in the baseline\n",
+                int(name.size()), name.data());
+    return false;
 }
 
 exp::RunConfig
@@ -63,7 +111,7 @@ runStage(const machines::MachineInfo &machine, exp::Rep rep, Stage stage)
     // Paper accounting: the tables/figures report checks and options
     // per attempt as the paper's engine counted them, so lower without
     // the collision-vector prefilter (identical schedules; see
-    // exp::RunConfig::prefilter). The perf benches keep it on.
+    // exp::RunConfig::prefilter).
     config.prefilter = false;
     return exp::run(config);
 }

@@ -3,7 +3,11 @@
 
 /**
  * @file
- * Shared scaffolding for the table/figure reproduction binaries.
+ * Shared scaffolding for the bench binaries: the paper's optimization
+ * stages, table printing, and the pinned results of
+ * bench/baseline_perf.json (timing-dependent bands are checked here by
+ * the bench that measures them; every deterministic pin is recomputed
+ * by the test_pinned ctest).
  *
  * Each bench binary regenerates one table or figure from the paper. The
  * transformation *stages* here mirror the paper's narrative order, so
@@ -20,7 +24,10 @@
  */
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "exp/runner.h"
@@ -50,14 +57,33 @@ exp::RunResult runStageSizeOnly(const machines::MachineInfo &machine,
 /** Percent-reduction string: "(before-after)/before" formatted. */
 std::string reduction(double before, double after);
 
+/** One entry of bench/baseline_perf.json's results[]. */
+struct Pin
+{
+    std::string name;
+    /** Decimal fingerprint; empty when the entry pins none. */
+    std::string fingerprint;
+    /** The gated metric's key (checks_per_op, shed_rate, ...). */
+    std::string metric;
+    double value = 0;
+    /** Inclusive range a timing-dependent metric must stay in. Without
+     * one the metric may not exceed value * 1.05. */
+    std::optional<std::pair<double, double>> band;
+};
+
+/** Parse a baseline document's results[]; throws MdesError when it is
+ * malformed. */
+std::vector<Pin> parsePins(std::string_view json);
+
+/** Read and parse the committed bench/baseline_perf.json. */
+std::vector<Pin> loadPins();
+
 /**
- * FNV-1a fingerprint of a program's block schedules (lengths, issue
- * cycles, cascade use). Two engine builds that make identical
- * scheduling decisions hash identically, so perf-bench baselines can
- * assert "faster, bit-identical schedules" across checker rewrites.
+ * Whether @p value lies inside the band pinned for @p name. Prints the
+ * verdict; false also when @p pins has no banded entry of that name.
  */
-uint64_t
-scheduleFingerprint(const std::vector<sched::BlockSchedule> &schedules);
+bool inPinnedBand(const std::vector<Pin> &pins, std::string_view name,
+                  double value);
 
 /** One row of a paper option-breakdown table (Tables 1-4). */
 struct PaperBreakdownRow

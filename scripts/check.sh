@@ -1,7 +1,8 @@
 #!/bin/sh
-# Full local gate: configure, build, run every test, smoke-run every
-# table/figure bench (perf benches get a short min_time so the whole
-# sweep stays fast). Mirrors what CI would run.
+# Full local gate: configure, build, run every test (test_pinned checks
+# the deterministic pins of bench/baseline_perf.json), smoke-run every
+# bench (the net, exact and store benches check their pinned bands).
+# Mirrors what CI would run.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -11,11 +12,6 @@ ctest --test-dir build --output-on-failure
 
 for b in build/bench/bench_*; do
     [ -x "$b" ] && [ -f "$b" ] || continue
-    case "$(basename "$b")" in
-        bench_perf_*)
-            "$b" --benchmark_min_time=0.05s ;;
-        *)
-            "$b" ;;
-    esac
+    "$b"
 done
 echo "check.sh: all green"

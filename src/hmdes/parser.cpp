@@ -67,6 +67,26 @@ class Parser
 
     std::optional<std::string_view> parseIdent(const char *context);
 
+    /** Restores the nesting depth on scope exit. */
+    struct Nesting
+    {
+        size_t &depth;
+        const size_t saved = depth;
+        ~Nesting() { depth = saved; }
+    };
+
+    /** Enter one more nesting level at @p loc; false after reporting
+     * when that passes kMaxNesting. */
+    bool
+    nest(SourceLocation loc)
+    {
+        if (++depth_ <= kMaxNesting)
+            return true;
+        diags_.error(loc, "nesting deeper than " +
+                              std::to_string(kMaxNesting) + " levels");
+        return false;
+    }
+
     /** Append @p e to the expression pool. */
     ExprId
     add(const Expr &e)
@@ -98,6 +118,8 @@ class Parser
     std::vector<Token> tokens_;
     DiagnosticEngine &diags_;
     size_t pos_ = 0;
+    /** Nesting levels open along the current path of the parse. */
+    size_t depth_ = 0;
     MachineDecl machine_;
 };
 
@@ -116,11 +138,14 @@ Parser::parseIdent(const char *context)
 ExprId
 Parser::parseExpr()
 {
+    Nesting nesting{depth_};
     ExprId lhs = parseMulExpr();
     while (lhs != kNoExpr &&
            (check(TokenKind::Plus) || check(TokenKind::Minus))) {
         char op = check(TokenKind::Plus) ? '+' : '-';
         SourceLocation loc = advance().loc;
+        if (!nest(loc))
+            return kNoExpr;
         ExprId rhs = parseMulExpr();
         if (rhs == kNoExpr)
             return kNoExpr;
@@ -133,6 +158,7 @@ Parser::parseExpr()
 ExprId
 Parser::parseMulExpr()
 {
+    Nesting nesting{depth_};
     ExprId lhs = parseUnaryExpr();
     while (lhs != kNoExpr &&
            (check(TokenKind::Star) || check(TokenKind::Slash) ||
@@ -141,6 +167,8 @@ Parser::parseMulExpr()
                   : check(TokenKind::Slash) ? '/'
                                             : '%';
         SourceLocation loc = advance().loc;
+        if (!nest(loc))
+            return kNoExpr;
         ExprId rhs = parseUnaryExpr();
         if (rhs == kNoExpr)
             return kNoExpr;
@@ -154,7 +182,10 @@ ExprId
 Parser::parseUnaryExpr()
 {
     if (check(TokenKind::Minus)) {
+        Nesting nesting{depth_};
         SourceLocation loc = advance().loc;
+        if (!nest(loc))
+            return kNoExpr;
         ExprId operand = parseUnaryExpr();
         if (operand == kNoExpr)
             return kNoExpr;
@@ -176,7 +207,10 @@ Parser::parsePrimaryExpr()
                     .value = t.value,
                     .name = t.text});
     }
-    if (match(TokenKind::LParen)) {
+    if (check(TokenKind::LParen)) {
+        Nesting nesting{depth_};
+        if (!nest(advance().loc))
+            return kNoExpr;
         ExprId inner = parseExpr();
         if (inner == kNoExpr)
             return kNoExpr;
@@ -290,6 +324,9 @@ Parser::parseLoop(bool (Parser::*parseBody)(Items &))
 {
     Loop loop;
     loop.loc = advance().loc; // 'for'
+    Nesting nesting{depth_};
+    if (!nest(loop.loc))
+        return std::nullopt;
     auto var = parseIdent("after 'for'");
     if (!var)
         return std::nullopt;

@@ -6,6 +6,7 @@
  * Recursive-descent parser for the high-level MDES language.
  */
 
+#include <cstddef>
 #include <optional>
 #include <string_view>
 
@@ -13,6 +14,15 @@
 #include "hmdes/token.h"
 
 namespace mdes::hmdes {
+
+/**
+ * Deepest nesting the parser accepts. Each open parenthesis, unary
+ * minus, binary operator of a chain and enclosing `for` loop is one
+ * level along a path of the parse; a deeper description is a located
+ * error. This bounds the parser's recursion and the depth of every
+ * expression tree, so the builder's recursion too.
+ */
+constexpr size_t kMaxNesting = 256;
 
 /**
  * Parse one machine description.

@@ -22,8 +22,29 @@
 #include "lmdes/low_mdes.h"
 #include "sched/ir.h"
 #include "sched/list_scheduler.h"
+#include "support/fnv.h"
 
 namespace mdes::sched {
+
+/**
+ * FNV-1a fingerprint of a program's block schedules (lengths, issue
+ * cycles, cascade use), continued from state @p h. Two engines that
+ * make identical scheduling decisions hash identically; the pinned
+ * schedule fingerprints in bench/baseline_perf.json are this hash.
+ */
+inline uint64_t
+scheduleFingerprint(const std::vector<BlockSchedule> &schedules,
+                    uint64_t h = kFnvOffset)
+{
+    for (const BlockSchedule &s : schedules) {
+        h = fnvMix64(h, uint64_t(s.length));
+        for (int32_t c : s.cycles)
+            h = fnvMix64(h, uint64_t(uint32_t(c)));
+        for (uint8_t u : s.used_cascade)
+            h = fnvMix64(h, u);
+    }
+    return h;
+}
 
 /** The first violation class a schedule replay hit. */
 enum class VerifyFault : uint8_t

@@ -30,15 +30,6 @@ elapsedUs(Clock::time_point since)
                         .count());
 }
 
-void
-fnvMix(uint64_t &h, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (i * 8)) & 0xff;
-        h *= 1099511628211ull;
-    }
-}
-
 } // namespace
 
 const char *
@@ -57,19 +48,12 @@ schedulerKindName(SchedulerKind kind)
 uint64_t
 scheduleFingerprint(const ScheduleResponse &response)
 {
-    uint64_t h = 1469598103934665603ull;
-    for (const auto &s : response.schedules) {
-        fnvMix(h, uint64_t(s.length));
-        for (int32_t c : s.cycles)
-            fnvMix(h, uint64_t(uint32_t(c)));
-        for (uint8_t u : s.used_cascade)
-            fnvMix(h, u);
-    }
+    uint64_t h = sched::scheduleFingerprint(response.schedules);
     for (const auto &m : response.modulo) {
-        fnvMix(h, uint64_t(m.success));
-        fnvMix(h, uint64_t(uint32_t(m.ii)));
+        h = fnvMix64(h, uint64_t(m.success));
+        h = fnvMix64(h, uint64_t(uint32_t(m.ii)));
         for (int32_t t : m.times)
-            fnvMix(h, uint64_t(uint32_t(t)));
+            h = fnvMix64(h, uint64_t(uint32_t(t)));
     }
     return h;
 }

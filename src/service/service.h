@@ -191,9 +191,10 @@ struct ScheduleResponse
 };
 
 /**
- * Order-insensitive content hash of a response's schedules; equal
- * workloads scheduled by any worker count must produce equal
- * fingerprints (the determinism tests and bench assert this).
+ * Content hash of a response's schedules: sched::scheduleFingerprint of
+ * its blocks, continued over its modulo results. Equal workloads
+ * scheduled by any worker count must produce equal fingerprints (the
+ * determinism tests and bench assert this).
  */
 uint64_t scheduleFingerprint(const ScheduleResponse &response);
 

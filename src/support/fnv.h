@@ -3,8 +3,8 @@
 
 /**
  * @file
- * FNV-1a 64-bit hashing, the content hash behind artifact keys and image
- * checksums. The state after a prefix can be saved and continued, so a
+ * FNV-1a 64-bit hashing, the content hash behind artifact keys, image
+ * checksums and schedule fingerprints. The state after a prefix can be saved and continued, so a
  * hash over a fixed prefix (a built-in description's source) is paid
  * once.
  */
@@ -36,6 +36,18 @@ inline uint64_t
 fnv1a64(std::string_view s, uint64_t h = kFnvOffset)
 {
     return fnv1a64(s.data(), s.size(), h);
+}
+
+/** Continue FNV-1a state @p h over the eight bytes of @p v, least
+ * significant first: the same on every host's endianness. */
+inline uint64_t
+fnvMix64(uint64_t h, uint64_t v)
+{
+    for (int i = 0; i < 8; ++i) {
+        h ^= (v >> (i * 8)) & 0xff;
+        h *= kFnvPrime;
+    }
+    return h;
 }
 
 } // namespace mdes

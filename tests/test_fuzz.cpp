@@ -30,6 +30,7 @@
 #include "rumap/checker.h"
 #include "sched/list_scheduler.h"
 #include "sched/verify.h"
+#include "support/fnv.h"
 
 namespace mdes {
 namespace {
@@ -302,27 +303,14 @@ TEST(Fuzz, LexerAndParserNeverCrashOnMutatedText)
 
 namespace {
 
-/** FNV-1a64, matching the v7 image checksum in serialize.cpp. */
-uint64_t
-imageFnv1a64(const char *data, size_t n)
-{
-    uint64_t h = 1469598103934665603ull;
-    for (size_t i = 0; i < n; ++i) {
-        h ^= uint8_t(data[i]);
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
 /** Re-seal a mutated v7 image: recompute the header checksum so the
  * mutation reaches structural validation instead of dying at the
  * checksum gate. */
 void
 resealImage(std::string &data)
 {
-    uint64_t sum =
-        imageFnv1a64(data.data() + sizeof(mdes::lmdes::v7::Header),
-                     data.size() - sizeof(mdes::lmdes::v7::Header));
+    uint64_t sum = fnv1a64(data.data() + sizeof(lmdes::v7::Header),
+                           data.size() - sizeof(lmdes::v7::Header));
     std::memcpy(&data[offsetof(mdes::lmdes::v7::Header, checksum)], &sum,
                 sizeof(sum));
 }

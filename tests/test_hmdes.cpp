@@ -331,6 +331,84 @@ TEST(Compile, OverflowIsLocatedAtTheOperator)
     EXPECT_EQ(d.loc.column, 11);
 }
 
+/** `let A = <expr>;` inside a machine, with the expression starting at
+ * column 23 of line 1. */
+std::string
+letMachine(const std::string &expr)
+{
+    return "machine \"M\" { let A = " + expr + "; }";
+}
+
+std::string
+repeat(const std::string &s, size_t n)
+{
+    std::string out;
+    for (size_t i = 0; i < n; ++i)
+        out += s;
+    return out;
+}
+
+TEST(Compile, DeepNestingIsALocatedError)
+{
+    // Each shape once overflowed the stack (parser or builder recursion
+    // per level) at these sizes; now the level past kMaxNesting is
+    // reported where it opens. Columns: the expression starts at 23.
+    const size_t over = hmdes::kMaxNesting + 1;
+    struct Shape
+    {
+        const char *label;
+        std::string source;
+        int column;
+    };
+    const Shape shapes[] = {
+        {"parentheses",
+         letMachine(repeat("(", 500000) + "1" + repeat(")", 500000)),
+         int(22 + over)},
+        {"unary minus", letMachine(repeat("-", 300000) + "1"),
+         int(22 + over)},
+        {"operator chain", letMachine("1" + repeat("+1", 500000)),
+         int(22 + 2 * over)},
+        {"for loops",
+         "machine \"M\" { resource R; ortree O {" +
+             repeat(" for i in 0 .. 0 {", 100000) +
+             " option { use R at 0; }" + repeat(" }", 100000) + " } }",
+         // " for i in 0 .. 0 {" is 18 columns; the first 'for' is at 38.
+         int(38 + 18 * (over - 1))},
+    };
+    for (const Shape &shape : shapes) {
+        SCOPED_TRACE(shape.label);
+        DiagnosticEngine diags;
+        auto m = hmdes::compile(shape.source, diags);
+        EXPECT_FALSE(m.has_value());
+        ASSERT_FALSE(diags.diagnostics().empty());
+        const Diagnostic &d = diags.diagnostics()[0];
+        EXPECT_EQ(d.message, "nesting deeper than 256 levels");
+        EXPECT_EQ(d.loc.line, 1);
+        EXPECT_EQ(d.loc.column, shape.column);
+    }
+}
+
+TEST(Compile, NestingAtTheLimitIsAccepted)
+{
+    const size_t n = hmdes::kMaxNesting;
+    std::string loops;
+    for (size_t i = 1; i < n; ++i)
+        loops += " for i" + std::to_string(i) + " in 0 .. 0 {";
+    std::string body = "let A = " + repeat("(", n) + "7" + repeat(")", n) +
+                       "; let B = " + repeat("-", n) + "7; let C = 0" +
+                       repeat("+1", n) + "; resource R[C]; ortree O {" +
+                       loops + " option { for t in 0 .. 0 { use R[0] at t; } }" +
+                       repeat(" }", n - 1) +
+                       " } table T = O; "
+                       "operation X { table T; latency A + B + 1; }";
+    DiagnosticEngine diags;
+    auto m = hmdes::compile(wrap(body), diags);
+    ASSERT_TRUE(m.has_value()) << diags.toString();
+    EXPECT_EQ(m->resourceClasses()[0].count, n);
+    // A = 7, B = 7 (an even number of minus signs), so 7 + 7 + 1.
+    EXPECT_EQ(m->opClass(0).latency, 15);
+}
+
 TEST(Compile, AndTableComposesOrTrees)
 {
     auto m = hmdes::compileOrThrow(wrap(R"(

@@ -16,6 +16,7 @@
 #include "lmdes/low_mdes.h"
 #include "machines/machines.h"
 #include "random_mdes.h"
+#include "support/fnv.h"
 #include "support/rng.h"
 
 namespace mdes {
@@ -322,18 +323,6 @@ TEST(Serialize, ChecksumMismatchReportsStoredAndComputed)
         EXPECT_NE(what.find("stored"), std::string::npos) << what;
         EXPECT_NE(what.find("computed"), std::string::npos) << what;
     }
-}
-
-/** FNV-1a64, matching the image checksum in serialize.cpp. */
-uint64_t
-fnv1a64(const char *data, size_t n)
-{
-    uint64_t h = 1469598103934665603ull;
-    for (size_t i = 0; i < n; ++i) {
-        h ^= uint8_t(data[i]);
-        h *= 1099511628211ull;
-    }
-    return h;
 }
 
 /** Recompute and patch the header checksum of a (possibly mutated) v7

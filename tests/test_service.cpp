@@ -199,6 +199,25 @@ TEST(Service, TypedErrors)
     EXPECT_FALSE(again.cache_hit);
 }
 
+TEST(Service, DeeplyNestedSourceIsACompileFailure)
+{
+    // 500k parentheses once overflowed a worker's stack in the parser.
+    service::MdesService svc({.num_workers = 1});
+    service::ScheduleRequest deep;
+    deep.source = "machine \"M\" { let A = " + std::string(500000, '(') +
+                  "1" + std::string(500000, ')') + "; }";
+    deep.sasm = "block\nend\n";
+    auto resp = svc.wait(svc.submit(deep));
+    EXPECT_EQ(resp.error.code, service::ErrorCode::CompileFailed);
+    EXPECT_NE(resp.error.message.find("1:279: error: nesting deeper than"),
+              std::string::npos)
+        << resp.error.message;
+
+    // The worker survived and still serves.
+    auto ok = svc.wait(svc.submit(syntheticRequest("K5", 50)));
+    EXPECT_TRUE(ok.ok()) << ok.error.message;
+}
+
 TEST(Service, DeadlineExceededWhileQueued)
 {
     // One worker, blocked by a large request: the deadline of the

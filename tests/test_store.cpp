@@ -26,6 +26,7 @@
 #include "service/service.h"
 #include "store/store.h"
 #include "support/faultsim.h"
+#include "support/fnv.h"
 #include "support/rng.h"
 
 namespace mdes {
@@ -70,25 +71,13 @@ slurp(const fs::path &path)
             std::istreambuf_iterator<char>()};
 }
 
-/** FNV-1a64, matching the store's integrity trailer. */
-uint64_t
-storeFnv1a64(const char *data, size_t n)
-{
-    uint64_t h = 1469598103934665603ull;
-    for (size_t i = 0; i < n; ++i) {
-        h ^= uint8_t(data[i]);
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
 /** Rewrite @p path with @p data plus a freshly computed whole-file
  * trailer, so deliberate *format* patches are not mistaken for rot. */
 void
 resealArtifact(const fs::path &path, std::string data)
 {
     ASSERT_GE(data.size(), 8u);
-    uint64_t sum = storeFnv1a64(data.data(), data.size() - 8);
+    uint64_t sum = fnv1a64(data.data(), data.size() - 8);
     std::memcpy(&data[data.size() - 8], &sum, sizeof(sum));
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(data.data(), std::streamsize(data.size()));
@@ -152,7 +141,7 @@ TEST(Store, BuiltInSourceHashContinuesToTheSameKey)
                 std::string bytes(info->source);
                 bytes.append(reinterpret_cast<const char *>(&fp),
                              sizeof(fp));
-                uint64_t one_pass = storeFnv1a64(bytes.data(), bytes.size());
+                uint64_t one_pass = fnv1a64(bytes);
                 EXPECT_EQ(store::artifactKey(info->source, cfg, bit_vector),
                           one_pass)
                     << info->name;
@@ -616,15 +605,8 @@ TEST(Store, LiveMappingSurvivesPruneAndQuarantine)
 uint64_t
 podFingerprint(const lmdes::LowMdes &low)
 {
-    uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](const void *p, size_t n) {
-        const auto *b = static_cast<const unsigned char *>(p);
-        for (size_t i = 0; i < n; ++i) {
-            h ^= b[i];
-            h *= 1099511628211ull;
-        }
-    };
-    auto span = [&mix](auto s) { mix(s.data(), s.size_bytes()); };
+    uint64_t h = kFnvOffset;
+    auto span = [&h](auto s) { h = fnv1a64(s.data(), s.size_bytes(), h); };
     span(low.checks());
     span(low.options());
     span(low.optionRefs());
